@@ -4,7 +4,10 @@ A claw (K_{1,3}) inside a cube vertex set hinges on one structural fact:
 two distinct neighbors of a vertex differ in exactly two bits, so they
 are never adjacent to each other.  Hence an induced claw exists iff some
 member has at least three in-set neighbors (a "claw-center"), and claw
-detection is a single degree scan.
+detection is a single degree scan.  That scan is ``claw_center``, and
+``claw_at`` builds the claw at a center; ``find_claw``, the structured
+solver and the case-claim checks all go through these two.
+``classify_five_set`` holds the package's only mask BFS.
 
 Induced-cycle search is a depth-first path extension with chord pruning:
 a partial path is abandoned as soon as its tip is adjacent to any path
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .hypercube import VertexSet, neighbor_masks, vertex_to_text
+from .hypercube import VertexSet, _iter_bits, neighbor_masks, vertex_to_text
 
 
 @dataclass(frozen=True)
@@ -75,25 +78,28 @@ def induced_degree(s: VertexSet, v: int) -> int:
     return (neighbor_masks(s.dim)[v] & s.mask).bit_count()
 
 
-def _least_bits(mask: int, count: int) -> list[int]:
-    out = []
-    while mask and len(out) < count:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return out
+def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
+    """Least member of ``among`` with three or more neighbors in ``mask``.
+    Both arguments are membership masks of Q_dim."""
+    nbr = neighbor_masks(dim)
+    for v in _iter_bits(among):
+        if (nbr[v] & mask).bit_count() >= 3:
+            return v
+    return None
+
+
+def claw_at(s: VertexSet, center: int) -> Claw:
+    """The claw at ``center`` whose leaves are its three least-labeled
+    in-set neighbors.  ``center`` must have at least three of them."""
+    a, b, c = _iter_bits(neighbor_masks(s.dim)[center] & s.mask)[:3]
+    return Claw(center, (a, b, c))
 
 
 def find_claw(s: VertexSet) -> Optional[Claw]:
     """First claw by label order: least-labeled center with three or more
     in-set neighbors, leaves its three least-labeled in-set neighbors."""
-    nbr = neighbor_masks(s.dim)
-    for v in s.members():
-        hood = nbr[v] & s.mask
-        if hood.bit_count() >= 3:
-            a, b, c = _least_bits(hood, 3)
-            return Claw(v, (a, b, c))
-    return None
+    v = claw_center(s.mask, s.mask, s.dim)
+    return None if v is None else claw_at(s, v)
 
 
 def find_induced_cycle(s: VertexSet, k: int) -> Optional[InducedCycle]:
@@ -114,20 +120,12 @@ def find_induced_cycle(s: VertexSet, k: int) -> Optional[InducedCycle]:
         last = path[-1]
         if len(path) == k - 1:
             want = (1 << last) | (1 << start)
-            cand = nbr[last] & nbr[start] & allowed & ~path_mask
-            while cand:
-                lsb = cand & -cand
-                u = lsb.bit_length() - 1
-                cand ^= lsb
+            for u in _iter_bits(nbr[last] & nbr[start] & allowed & ~path_mask):
                 if nbr[u] & path_mask == want:
                     return path + [u]
             return None
-        cand = nbr[last] & allowed & ~path_mask
         last_bit = 1 << last
-        while cand:
-            lsb = cand & -cand
-            u = lsb.bit_length() - 1
-            cand ^= lsb
+        for u in _iter_bits(nbr[last] & allowed & ~path_mask):
             if nbr[u] & path_mask == last_bit:
                 found = dfs(start, path + [u], path_mask | (1 << u), allowed)
                 if found:
@@ -173,10 +171,8 @@ def classify_five_set(s: VertexSet) -> PathClassification:
     frontier = seen
     while frontier:
         grow = 0
-        while frontier:
-            lsb = frontier & -frontier
-            grow |= hoods[lsb.bit_length() - 1]
-            frontier ^= lsb
+        for v in _iter_bits(frontier):
+            grow |= hoods[v]
         frontier = grow & s.mask & ~seen
         seen |= frontier
     if seen != s.mask:
@@ -189,9 +185,9 @@ def classify_five_set(s: VertexSet) -> PathClassification:
         order = [ones[0]]
         prev_bit = 0
         while len(order) < 5:
-            nxt = hoods[order[-1]] & ~prev_bit
+            nxt = _iter_bits(hoods[order[-1]] & ~prev_bit)[0]
             prev_bit = 1 << order[-1]
-            order.append((nxt & -nxt).bit_length() - 1)
+            order.append(nxt)
         return PathClassification(
             FiveSetKind.PATH_P5,
             endpoints=(order[0], order[4]),

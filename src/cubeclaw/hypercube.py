@@ -108,6 +108,29 @@ def vertex_from_text(text: str, dim: int) -> int:
     return label
 
 
+def _iter_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending.
+
+    The package's one set-bit loop.  It returns a list rather than a
+    generator because the extremal search calls it millions of times on
+    masks of at most three bits, where generator overhead dominates.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _permute_label(v: int, perm: tuple[int, ...]) -> int:
+    """The label whose bit i is bit ``perm[i]`` of ``v``."""
+    y = 0
+    for i, src in enumerate(perm):
+        y |= ((v >> src) & 1) << i
+    return y
+
+
 def hex_width(dim: int) -> int:
     """Number of hex digits in the 2^n-bit mask text form."""
     return ((1 << dim) + 3) // 4
@@ -155,13 +178,7 @@ class VertexSet:
 
     def members(self) -> list[int]:
         """Member labels, ascending."""
-        out = []
-        m = self.mask
-        while m:
-            lsb = m & -m
-            out.append(lsb.bit_length() - 1)
-            m ^= lsb
-        return out
+        return _iter_bits(self.mask)
 
     def add(self, v: int) -> "VertexSet":
         check_vertex(v, self.dim)
@@ -223,16 +240,12 @@ def split(s: VertexSet, coord: int) -> tuple[VertexSet, VertexSet]:
     low = (1 << p) - 1
     mask0 = 0
     mask1 = 0
-    m = s.mask
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
+    for v in _iter_bits(s.mask):
         reduced = (v & low) | ((v >> (p + 1)) << p)
         if (v >> p) & 1:
             mask1 |= 1 << reduced
         else:
             mask0 |= 1 << reduced
-        m ^= lsb
     d = s.dim - 1
     return VertexSet(d, mask0), VertexSet(d, mask1)
 
@@ -247,12 +260,8 @@ def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
     p = coord - 1
     low = (1 << p) - 1
     mask = 0
-    m = s.mask
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
+    for v in _iter_bits(s.mask):
         mask |= 1 << ((v & low) | (bit << p) | ((v >> p) << (p + 1)))
-        m ^= lsb
     return VertexSet(dim, mask)
 
 
@@ -293,10 +302,7 @@ class Automorphism:
 
     def apply_to_vertex(self, v: int) -> int:
         check_vertex(v, self.dim)
-        y = 0
-        for i, src in enumerate(self.perm):
-            y |= ((v >> src) & 1) << i
-        return y ^ self.flips
+        return _permute_label(v, self.perm) ^ self.flips
 
 
 def random_automorphism(dim: int, rng: random.Random) -> Automorphism:
@@ -319,16 +325,10 @@ def apply_automorphism(s: VertexSet, a: Automorphism) -> VertexSet:
 @lru_cache(maxsize=None)
 def _perm_label_tables(dim: int) -> tuple[tuple[int, ...], ...]:
     # one label-permutation table per coordinate permutation
-    tables = []
-    for perm in permutations(range(dim)):
-        table = []
-        for v in range(1 << dim):
-            y = 0
-            for i, src in enumerate(perm):
-                y |= ((v >> src) & 1) << i
-            table.append(y)
-        tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(
+        tuple(_permute_label(v, perm) for v in range(1 << dim))
+        for perm in permutations(range(dim))
+    )
 
 
 def canonical_form(s: VertexSet) -> VertexSet:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,14 +44,15 @@ from .detect import (
     InducedCycle,
     PathClassification,
     check_witness,
+    claw_center,
     classify_five_set,
     find_claw,
     find_induced_cycle,
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, canonical_form, neighbor_masks
-from .witness import find_witness_inductive, required_size
+from .hypercube import VertexSet, _iter_bits, canonical_form, neighbor_masks
+from .witness import find_witness_inductive, required_size, resolve_five_four
 
 COUNTEREXAMPLE_CAP = 16
 
@@ -158,10 +160,8 @@ def unrank_subset(index: int, size: int, universe: int) -> int:
 def _spread(pmask: int, parity: int) -> int:
     """Map a Q_3 position mask onto the Q_4 half with coordinate 1 = parity."""
     out = 0
-    while pmask:
-        lsb = pmask & -pmask
-        out |= 1 << (2 * (lsb.bit_length() - 1) + parity)
-        pmask ^= lsb
+    for p in _iter_bits(pmask):
+        out |= 1 << (2 * p + parity)
     return out
 
 
@@ -171,17 +171,6 @@ def _spread(pmask: int, parity: int) -> int:
 
 _EVEN_HALF_Q4 = 0x5555
 _ODD_HALF_Q4 = 0xAAAA
-
-
-def _full_degree_center_exists(side_mask: int, full_mask: int, dim: int) -> bool:
-    nbr = neighbor_masks(dim)
-    m = side_mask
-    while m:
-        lsb = m & -m
-        if (nbr[lsb.bit_length() - 1] & full_mask).bit_count() >= 3:
-            return True
-        m ^= lsb
-    return False
 
 
 def _theorem_item(params, index, state):
@@ -249,8 +238,8 @@ def _case23_item(params, index, state):
     big = _spread(unrank_subset(i, big_size, 8), 0)
     small = _spread(unrank_subset(j, small_size, 8), 1)
     full = big | small
-    ok = _full_degree_center_exists(big, full, 4)
-    subcube_ok = _full_degree_center_exists(big, big, 4)
+    ok = claw_center(full, big, 4) is not None
+    subcube_ok = claw_center(big, big, 4) is not None
     details = {"subcube_only_failures": 0 if subcube_ok else 1}
     cex = None if ok else VertexSet(4, full).to_hex()
     return ok, cex, details, None
@@ -259,11 +248,8 @@ def _case23_item(params, index, state):
 def _case4_structure_item(params, index, state):
     big = _spread(unrank_subset(index, 5, 8), 0)
     s = VertexSet(4, big)
-    nbr = neighbor_masks(4)
-    max_deg = max((nbr[v] & big).bit_count() for v in s.members())
-    shape = classify_five_set(s)
-    is_p5 = shape.kind is FiveSetKind.PATH_P5
-    ok = (max_deg <= 2) == is_p5
+    is_p5 = classify_five_set(s).kind is FiveSetKind.PATH_P5
+    ok = (claw_center(big, big, 4) is None) == is_p5
     details = {"p5_placements": 1 if is_p5 else 0}
     cex = None if ok else s.to_hex()
     return ok, cex, details, None
@@ -292,59 +278,15 @@ def _case4_admissible_item(params, index, state):
     return ok, cex, {"admissible_counts": [len(choices)]}, None
 
 
-def _small_side_outcome(big: int, small: int):
-    """Resolve one (5,4) configuration: a claw-center in the small side,
-    or a vertex whose removal leaves an induced 8-cycle."""
-    full = big | small
-    nbr = neighbor_masks(4)
-    m = small
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        if (nbr[v] & full).bit_count() >= 3:
-            return "claw", v
-        m ^= lsb
-    m = full
-    while m:
-        lsb = m & -m
-        z = lsb.bit_length() - 1
-        rest = full ^ lsb
-        if _induces_single_cycle(rest, 4):
-            return "cycle", z
-        m ^= lsb
-    return "none", -1
-
-
-def _induces_single_cycle(mask: int, dim: int) -> bool:
-    """All induced degrees exactly 2 and connected: one chordless cycle."""
-    nbr = neighbor_masks(dim)
-    m = mask
-    while m:
-        lsb = m & -m
-        if (nbr[lsb.bit_length() - 1] & mask).bit_count() != 2:
-            return False
-        m ^= lsb
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        grow = 0
-        while frontier:
-            lsb = frontier & -frontier
-            grow |= nbr[lsb.bit_length() - 1]
-            frontier ^= lsb
-        frontier = grow & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def _case4_outcomes_item(params, index, state):
     pairs = params[0]
     placement_idx, big, small = pairs[index]
-    kind, _vertex = _small_side_outcome(big, small)
-    ok = kind in ("claw", "cycle")
+    full = VertexSet(4, big | small)
+    resolved = resolve_five_four(full, VertexSet(4, small))
+    ok = resolved is not None
+    kind = "none" if resolved is None else "claw" if resolved[1] is None else "cycle"
     details = {"outcome_kinds": [[placement_idx, kind]]}
-    cex = None if ok else VertexSet(4, big | small).to_hex()
+    cex = None if ok else full.to_hex()
     return ok, cex, details, None
 
 
@@ -359,20 +301,24 @@ def _random_agreement_item(params, index, state):
     s = VertexSet.from_members(labels[:target], n)
     try:
         w, trace = find_witness_inductive(s)
-        ok = check_witness(w, s)
-        prev = len(s)
-        for st in trace.steps:
-            a, b = st.side_cardinalities
-            chosen = st.side_cardinalities[st.chosen_side]
-            if a + b != prev or chosen < (1 << (st.dim - 2)) + 1:
-                ok = False
-            prev = chosen
-        if ok and n <= 5:
-            ok = find_theorem_witness(s) is not None
-    except Exception:
-        ok = False
-    cex = None if ok else s.to_hex()
-    return ok, cex, None, None
+        sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
+        bound_ok = all(
+            sum(st.side_cardinalities) == prev and chosen >= (1 << (st.dim - 2)) + 1
+            for st, prev, chosen in zip(trace.steps, sizes, sizes[1:])
+        )
+        if not check_witness(w, s):
+            cause = "invalid_witness"
+        elif not bound_ok:
+            cause = "trace_bound"
+        elif n <= 5 and find_theorem_witness(s) is None:
+            cause = "direct_search"
+        else:
+            cause = None
+    except Exception as exc:
+        cause = type(exc).__name__
+    if cause is None:
+        return True, None, None, None
+    return False, s.to_hex(), {"failure_causes": {cause: 1}}, None
 
 
 _ITEMS = {
@@ -446,7 +392,8 @@ def _run_check(
         chunks = [_run_chunk(item_name, params, 0, total)]
     else:
         spans = _ranges(total, workers)
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        processes = min(len(spans), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [
                 pool.submit(_run_chunk, item_name, params, lo, hi) for lo, hi in spans
             ]
@@ -599,31 +546,22 @@ def analyze_case_four_placement(five: VertexSet) -> CaseFourOutcome:
         VertexSet(4, small) for small in _admissible_choices(five.mask)
     )
     outcomes: list[Union[ClawInSmallSide, CycleAfterDeletion]] = []
-    nbr = neighbor_masks(4)
     for choice in admissible:
-        full = VertexSet(4, five.mask | choice.mask)
-        kind, vertex = _small_side_outcome(five.mask, choice.mask)
-        if kind == "claw":
-            hood = nbr[vertex] & full.mask
-            leaves = []
-            while hood and len(leaves) < 3:
-                lsb = hood & -hood
-                leaves.append(lsb.bit_length() - 1)
-                hood ^= lsb
-            claw = Claw(vertex, tuple(leaves))
-            if not check_witness(claw, full):
-                raise TheoremViolationError("invalid claw outcome", 4, full.mask)
-            outcomes.append(ClawInSmallSide(claw))
-        elif kind == "cycle":
-            rest = full.remove(vertex)
-            cycle = find_induced_cycle(rest, 8)
-            if cycle is None or not check_witness(cycle, rest) or not check_witness(cycle, full):
-                raise TheoremViolationError("invalid cycle outcome", 4, full.mask)
-            outcomes.append(CycleAfterDeletion(vertex, cycle))
-        else:
+        full = five.union(choice)
+        resolved = resolve_five_four(full, choice)
+        if resolved is None:
             raise TheoremViolationError(
                 "a (5,4) configuration resolved to neither claw nor cycle", 4, full.mask
             )
+        w, dropped = resolved
+        if dropped is None:
+            if not check_witness(w, full):
+                raise TheoremViolationError("invalid claw outcome", 4, full.mask)
+            outcomes.append(ClawInSmallSide(w))
+        else:
+            if not check_witness(w, full.remove(dropped)) or not check_witness(w, full):
+                raise TheoremViolationError("invalid cycle outcome", 4, full.mask)
+            outcomes.append(CycleAfterDeletion(dropped, w))
     return CaseFourOutcome(shape, admissible, tuple(outcomes))
 
 
@@ -719,15 +657,10 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
         dv = hood.bit_count()
         if dv > 2:
             return
-        us = []
-        m = hood
-        while m:
-            lsb = m & -m
-            u = lsb.bit_length() - 1
+        us = _iter_bits(hood)
+        for u in us:
             if deg[u] == 2:
                 return
-            us.append(u)
-            m ^= lsb
 
         closing = False
         if dv == 2:

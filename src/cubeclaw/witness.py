@@ -17,24 +17,31 @@ A second, structured solver replays the dimension-4 case analysis
 literally, dispatching on how the nine vertices fall across the two
 subcube halves.  It exists for cross-checking the case analysis, not as
 the production path, and is validated against brute force on all 11440
-nine-vertex subsets.
+nine-vertex subsets.  Its last step, ``resolve_five_four``, is the one
+implementation of the (5,4)-split resolution; :mod:`cubeclaw.verify`
+checks the case claims through it.  Claw-centers are found and claws
+built only by ``detect.claw_center`` and ``detect.claw_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .detect import (
     Claw,
     FiveSetKind,
     InducedCycle,
     Witness,
+    claw_at,
+    claw_center,
     classify_five_set,
+    find_claw,
     find_induced_cycle,
     find_theorem_witness,
 )
 from .errors import InsufficientCardinalityError, TheoremViolationError
-from .hypercube import VertexSet, embed, embed_vertex, neighbor_masks, split
+from .hypercube import VertexSet, embed, embed_vertex, split
 
 
 @dataclass(frozen=True)
@@ -123,23 +130,23 @@ def base_case_solve(s: VertexSet) -> Witness:
     return w
 
 
-def _claw_at(s: VertexSet, center: int) -> Claw:
-    hood = neighbor_masks(s.dim)[center] & s.mask
-    leaves = []
-    while hood and len(leaves) < 3:
-        lsb = hood & -hood
-        leaves.append(lsb.bit_length() - 1)
-        hood ^= lsb
-    a, b, c = leaves
-    return Claw(center, (a, b, c))
+def resolve_five_four(
+    s: VertexSet, small: VertexSet
+) -> Optional[tuple[Witness, Optional[int]]]:
+    """Resolve a (5,4) configuration whose path-internal claws are ruled out.
 
-
-def _scan_for_center(s: VertexSet, among: VertexSet) -> Claw | None:
-    """Least-labeled member of ``among`` with >= 3 neighbors in ``s``."""
-    nbr = neighbor_masks(s.dim)
-    for v in among.members():
-        if (nbr[v] & s.mask).bit_count() >= 3:
-            return _claw_at(s, v)
+    ``small`` is the four-vertex half of ``s``.  Returns ``(claw, None)``
+    for the least member of ``small`` with three neighbors in ``s``;
+    failing that, ``(cycle, z)`` for the least z whose removal leaves an
+    induced 8-cycle; failing both, None.
+    """
+    center = claw_center(s.mask, small.mask, s.dim)
+    if center is not None:
+        return claw_at(s, center), None
+    for z in s.members():
+        cycle = find_induced_cycle(s.remove(z), 8)
+        if cycle is not None:
+            return cycle, z
     return None
 
 
@@ -173,13 +180,12 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     else:
         big_bit, big, small = 1, side1, side0
     big_amb = embed(big, 1, big_bit)
-    small_amb = embed(small, 1, 1 - big_bit)
     case = {8: 1, 7: 2, 6: 3, 5: 4}[len(big)]
 
     if case in (1, 2, 3):
-        claw = _scan_for_center(s, big_amb)
-        if claw is not None:
-            return claw, case
+        center = claw_center(s.mask, big_amb.mask, s.dim)
+        if center is not None:
+            return claw_at(s, center), case
         raise TheoremViolationError(
             f"no claw-center in the larger half of a ({len(big)},{len(small)}) split",
             s.dim,
@@ -187,7 +193,7 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
         )
 
     # case 4: (5,4) split
-    claw = _scan_for_center(big_amb, big_amb)
+    claw = find_claw(big_amb)
     if claw is not None:
         return claw, case
 
@@ -200,17 +206,11 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
         )
     for a in sorted(shape.internal):
         if (a ^ 1) in s:
-            return _claw_at(s, a), case
+            return claw_at(s, a), case
 
-    claw = _scan_for_center(s, small_amb)
-    if claw is not None:
-        return claw, case
-
-    for z in s.members():
-        rest = s.remove(z)
-        cycle = find_induced_cycle(rest, 8)
-        if cycle is not None:
-            return cycle, case
-    raise TheoremViolationError(
-        "no claw-center and no cycle-leaving vertex in a (5,4) split", s.dim, s.mask
-    )
+    resolved = resolve_five_four(s, embed(small, 1, 1 - big_bit))
+    if resolved is None:
+        raise TheoremViolationError(
+            "no claw-center and no cycle-leaving vertex in a (5,4) split", s.dim, s.mask
+        )
+    return resolved[0], case

@@ -1,0 +1,139 @@
+"""The helpers each shared fact lives in, and the runner's robustness rules."""
+
+import random
+from itertools import combinations
+
+import cubeclaw.verify as verify_mod
+from cubeclaw.detect import Claw, InducedCycle, check_witness, claw_center
+from cubeclaw.errors import TheoremViolationError
+from cubeclaw.hypercube import VertexSet, _iter_bits
+from cubeclaw.verify import (
+    random_agreement_test,
+    verify_proposition_exhaustive,
+    verify_theorem_exhaustive,
+)
+from cubeclaw.witness import ExtractionTrace, resolve_five_four
+from oracles import classify_five, induces_cycle, path_order_of_p5
+
+EVEN_LABELS_Q4 = [v for v in range(16) if v % 2 == 0]
+ODD_LABELS_Q4 = [v for v in range(16) if v % 2 == 1]
+
+
+def test_iter_bits_matches_members_and_naive_scan():
+    assert _iter_bits(0) == []
+    rng = random.Random(4242)
+    for n in range(1, 17):
+        for _ in range(3):
+            mask = rng.getrandbits(1 << n)
+            naive = [v for v in range(1 << n) if (mask >> v) & 1]
+            assert _iter_bits(mask) == naive
+            assert VertexSet(n, mask).members() == naive
+
+
+def test_claw_center_under_both_degree_readings():
+    # (6,3) split whose larger half induces the chordless 6-cycle: no
+    # center counting degrees inside the half, one counting the cross edge
+    big = VertexSet.from_members([2, 4, 6, 8, 10, 12], 4).mask
+    full = big | VertexSet.from_members([1, 3, 5], 4).mask
+    assert claw_center(big, big, 4) is None
+    center = claw_center(full, big, 4)
+    assert center is not None and (big >> center) & 1
+
+
+def five_four_pairs():
+    """All path placements x admissible choices, from the naive oracles."""
+    for five in combinations(EVEN_LABELS_Q4, 5):
+        if classify_five(five, 4) != "path_p5":
+            continue
+        partners = {a ^ 1 for a in path_order_of_p5(five, 4)[1:4]}
+        for four in combinations(ODD_LABELS_Q4, 4):
+            if not partners & set(four):
+                yield sorted(five + four), four
+
+
+def test_resolve_five_four_on_all_placements():
+    pairs = list(five_four_pairs())
+    assert len(pairs) == 120
+    for full, four in pairs:
+        s = VertexSet.from_members(full, 4)
+        resolved = resolve_five_four(s, VertexSet.from_members(four, 4))
+        assert resolved is not None
+        w, z = resolved
+        if z is None:
+            assert isinstance(w, Claw) and w.center in four
+            assert check_witness(w, s)
+        else:
+            assert isinstance(w, InducedCycle) and len(w.vertices) == 8
+            assert check_witness(w, s.remove(z))
+            least = next(u for u in full if induces_cycle([x for x in full if x != u], 4))
+            assert z == least
+
+
+def test_random_agreement_records_exception_cause(monkeypatch):
+    def boom(s):
+        raise TheoremViolationError("injected", s.dim, s.mask)
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", boom)
+    report = random_agreement_test(4, 3, seed=1, workers=1)
+    assert report.failed == 3
+    assert report.details["failure_causes"] == {"TheoremViolationError": 3}
+
+
+def test_random_agreement_records_invalid_witness(monkeypatch):
+    def bogus(s):
+        return Claw(0, (0, 0, 0)), ExtractionTrace((), "brute-force")
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", bogus)
+    report = random_agreement_test(4, 2, seed=1, workers=1)
+    assert report.failed == 2
+    assert report.details["failure_causes"] == {"invalid_witness": 2}
+
+
+def test_random_agreement_passing_trials_add_no_cause():
+    assert "failure_causes" not in random_agreement_test(5, 5, seed=3).details
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each chunk in-process and
+    records the process count it was asked for."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        InlinePool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+
+        class Done:
+            def result(self):
+                return result
+
+        return Done()
+
+
+def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    InlinePool.requested = []
+    serial = verify_theorem_exhaustive(4, 9)
+    wide = verify_theorem_exhaustive(4, 9, workers=11440)
+    assert InlinePool.requested == [2]
+    assert wide.worker_count == 11440
+    assert wide.deterministic_digest == serial.deterministic_digest
+
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    InlinePool.requested = []
+    assert verify_proposition_exhaustive(workers=8).failed == 0
+    assert InlinePool.requested == [1]
+
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    InlinePool.requested = []
+    verify_proposition_exhaustive(workers=3)
+    assert InlinePool.requested == [3]
