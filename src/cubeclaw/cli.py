@@ -78,13 +78,15 @@ def parse_set(text: str, n: int) -> VertexSet:
         raise SetParseError("empty input where a vertex set is required")
 
     if all(len(tok) == n and not set(tok) - {"0", "1"} for _, tok in entries):
-        mask = 0
-        for lineno, tok in entries:
-            v = vertex_from_text(tok, n)
-            if (mask >> v) & 1:
-                raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
-            mask |= 1 << v
-        return VertexSet(n, mask)
+        labels = [vertex_from_text(tok, n) for _, tok in entries]
+        s = VertexSet.from_members(labels, n)
+        if len(s) < len(labels):
+            seen = set()
+            for (lineno, tok), v in zip(entries, labels):
+                if v in seen:
+                    raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
+                seen.add(v)
+        return s
 
     if len(entries) == 1:
         lineno, tok = entries[0]

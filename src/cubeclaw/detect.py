@@ -201,14 +201,18 @@ def check_witness(w: Witness, s: VertexSet) -> bool:
 
     True iff every structural invariant holds: membership, the claw's
     center-leaf adjacencies and leaf independence, or the cycle's
-    consecutive adjacencies with no chords.  Malformed witnesses return
-    False rather than raising.
+    consecutive adjacencies with no chords.  Adjacency is read off the
+    labels (exactly one differing bit), so no neighbor table is built
+    and the cost does not grow with the dimension.  Malformed witnesses
+    return False rather than raising.
     """
-    nbr = neighbor_masks(s.dim)
     nverts = 1 << s.dim
 
     def ok_vertex(v) -> bool:
         return isinstance(v, int) and 0 <= v < nverts and v in s
+
+    def adjacent(u: int, v: int) -> bool:
+        return (u ^ v).bit_count() == 1
 
     if isinstance(w, Claw):
         if not isinstance(w.leaves, tuple) or len(w.leaves) != 3:
@@ -216,11 +220,13 @@ def check_witness(w: Witness, s: VertexSet) -> bool:
         vs = (w.center, *w.leaves)
         if len(set(vs)) != 4 or not all(ok_vertex(v) for v in vs):
             return False
-        hood = nbr[w.center]
-        if not all((hood >> leaf) & 1 for leaf in w.leaves):
-            return False
         a, b, c = w.leaves
-        return not ((nbr[a] >> b) & 1 or (nbr[a] >> c) & 1 or (nbr[b] >> c) & 1)
+        return (
+            adjacent(w.center, a)
+            and adjacent(w.center, b)
+            and adjacent(w.center, c)
+            and not (adjacent(a, b) or adjacent(a, c) or adjacent(b, c))
+        )
 
     if isinstance(w, InducedCycle):
         vs = w.vertices
@@ -229,14 +235,12 @@ def check_witness(w: Witness, s: VertexSet) -> bool:
         if len(set(vs)) != len(vs) or not all(ok_vertex(v) for v in vs):
             return False
         k = len(vs)
-        cycle_mask = 0
-        for v in vs:
-            cycle_mask |= 1 << v
-        for i, v in enumerate(vs):
-            ring = (1 << vs[(i - 1) % k]) | (1 << vs[(i + 1) % k])
-            if nbr[v] & cycle_mask != ring:
-                return False
-        return True
+        # adjacent exactly when consecutive modulo k
+        return all(
+            adjacent(vs[i], vs[j]) == (j - i in (1, k - 1))
+            for i in range(k)
+            for j in range(i + 1, k)
+        )
 
     return False
 

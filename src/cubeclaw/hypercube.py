@@ -11,11 +11,20 @@ v is a member), which makes subset enumeration, degree counting and
 subcube splitting cheap bit arithmetic.  Splitting on a coordinate
 relabels each half into Q_{n-1} by deleting that coordinate's bit;
 ``embed`` is the exact inverse.
+
+An operation on a whole mask costs at most about n passes over its 2^n
+bits, never one pass per member.  Splitting on coordinate p + 1
+is a masked-shift block compress (Warren, *Hacker's Delight* §7-4): the
+mask is a run of 2^p-bit blocks alternating between the two halves, and
+n - p - 1 shift-or-and folds pack one half's blocks together; ``embed``
+runs the same folds in reverse (a block spread).  Membership masks are
+built through a byte buffer and read back through a byte table.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -123,6 +132,16 @@ def _iter_bits(mask: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """Set-bit positions of every byte value; built on first wide scan."""
+    return tuple(tuple(_iter_bits(b)) for b in range(256))
+
+
+_WORD_BITS = 64
+"""Masks at most this wide are scanned bit by bit, wider ones by byte."""
+
+
 def _permute_label(v: int, perm: tuple[int, ...]) -> int:
     """The label whose bit i is bit ``perm[i]`` of ``v``."""
     y = 0
@@ -152,11 +171,11 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, members, dim: int) -> "VertexSet":
-        mask = 0
+        buf = bytearray(((1 << check_dim(dim)) + 7) // 8)
         for v in members:
             check_vertex(v, dim)
-            mask |= 1 << v
-        return cls(dim, mask)
+            buf[v >> 3] |= 1 << (v & 7)
+        return cls(dim, int.from_bytes(buf, "little"))
 
     @classmethod
     def empty(cls, dim: int) -> "VertexSet":
@@ -178,7 +197,12 @@ class VertexSet:
 
     def members(self) -> list[int]:
         """Member labels, ascending."""
-        return _iter_bits(self.mask)
+        mask = self.mask
+        if mask.bit_length() <= _WORD_BITS:
+            return _iter_bits(mask)
+        table = _byte_bits()
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return [8 * i + j for i, byte in enumerate(data) if byte for j in table[byte]]
 
     def add(self, v: int) -> "VertexSet":
         check_vertex(v, self.dim)
@@ -208,6 +232,9 @@ class VertexSet:
         return f"VertexSet(dim={self.dim}, mask=0x{self.to_hex()})"
 
 
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
+
+
 def set_from_hex(text: str, dim: int) -> VertexSet:
     """Parse a hex mask token of exactly ``hex_width(dim)`` digits."""
     check_dim(dim)
@@ -219,10 +246,49 @@ def set_from_hex(text: str, dim: int) -> VertexSet:
         raise SetParseError(
             f"hex mask {text.strip()!r} has {len(token)} digits, expected {width} for dimension {dim}"
         )
-    for i, ch in enumerate(token):
-        if ch not in "0123456789abcdefABCDEF":
-            raise SetParseError(f"bad hex digit {ch!r} in mask", column=i + 1)
+    if _HEX_DIGITS.fullmatch(token) is None:
+        for i, ch in enumerate(token):
+            if ch not in "0123456789abcdefABCDEF":
+                raise SetParseError(f"bad hex digit {ch!r} in mask", column=i + 1)
     return VertexSet(dim, int(token, 16))
+
+
+_BLOCK_MASK_CACHE = 8
+"""Masks kept by ``_block_mask``: the four a dimension-4 split needs,
+with room to spare, yet at most 16 MB of masks at dimension 24."""
+
+
+@lru_cache(maxsize=_BLOCK_MASK_CACHE)
+def _block_mask(nbits: int, block: int) -> int:
+    """The ``nbits``-bit mask whose ``block``-bit blocks are alternately
+    all ones and all zeros, ones first.  Both are powers of two and
+    ``2 * block <= nbits``."""
+    mask = (1 << block) - 1
+    width = 2 * block
+    while width < nbits:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _compress(mask: int, nbits: int, block: int) -> int:
+    """Pack the even-numbered ``block``-bit blocks of an ``nbits``-bit
+    mask, in order, into its low ``nbits / 2`` bits."""
+    x = mask & _block_mask(nbits, block)
+    while 2 * block < nbits:
+        x = (x | x >> block) & _block_mask(nbits, 2 * block)
+        block *= 2
+    return x
+
+
+def _spread_blocks(mask: int, nbits: int, block: int) -> int:
+    """Inverse of ``_compress``: deal the ``block``-bit blocks of an
+    ``nbits / 2``-bit mask onto the even-numbered blocks of ``nbits``."""
+    width = nbits // 2
+    while width > block:
+        width //= 2
+        mask = (mask | mask << width) & _block_mask(nbits, width)
+    return mask
 
 
 def split(s: VertexSet, coord: int) -> tuple[VertexSet, VertexSet]:
@@ -236,33 +302,24 @@ def split(s: VertexSet, coord: int) -> tuple[VertexSet, VertexSet]:
         raise ValueError("splitting requires dimension >= 2")
     if not 1 <= coord <= s.dim:
         raise ValueError(f"coordinate {coord} out of range [1, {s.dim}]")
-    p = coord - 1
-    low = (1 << p) - 1
-    mask0 = 0
-    mask1 = 0
-    for v in _iter_bits(s.mask):
-        reduced = (v & low) | ((v >> (p + 1)) << p)
-        if (v >> p) & 1:
-            mask1 |= 1 << reduced
-        else:
-            mask0 |= 1 << reduced
+    nbits = 1 << s.dim
+    block = 1 << (coord - 1)
     d = s.dim - 1
-    return VertexSet(d, mask0), VertexSet(d, mask1)
+    return (
+        VertexSet(d, _compress(s.mask, nbits, block)),
+        VertexSet(d, _compress(s.mask >> block, nbits, block)),
+    )
 
 
 def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
     """Inject a Q_{n-1} subset into Q_n, fixing one coordinate to ``bit``."""
-    dim = s.dim + 1
+    dim = check_dim(s.dim + 1)
     if not 1 <= coord <= dim:
         raise ValueError(f"coordinate {coord} out of range [1, {dim}]")
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    p = coord - 1
-    low = (1 << p) - 1
-    mask = 0
-    for v in _iter_bits(s.mask):
-        mask |= 1 << ((v & low) | (bit << p) | ((v >> p) << (p + 1)))
-    return VertexSet(dim, mask)
+    block = 1 << (coord - 1)
+    return VertexSet(dim, _spread_blocks(s.mask, 1 << dim, block) << (bit * block))
 
 
 def embed_vertex(v: int, coord: int, bit: int) -> int:
@@ -316,10 +373,7 @@ def apply_automorphism(s: VertexSet, a: Automorphism) -> VertexSet:
     """Image of a vertex set under an automorphism."""
     if a.dim != s.dim:
         raise ValueError(f"automorphism dimension {a.dim} != set dimension {s.dim}")
-    mask = 0
-    for v in s.members():
-        mask |= 1 << a.apply_to_vertex(v)
-    return VertexSet(s.dim, mask)
+    return VertexSet.from_members((a.apply_to_vertex(v) for v in s.members()), s.dim)
 
 
 @lru_cache(maxsize=None)

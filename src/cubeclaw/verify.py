@@ -641,6 +641,15 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     best_mask = 0
     nodes = 0
 
+    def put(saved: list, key: int, val: int) -> None:
+        saved.append((key, end_partner.get(key), comp_size.get(key)))
+        end_partner[key] = val
+
+    def drop(saved: list, key: int) -> None:
+        saved.append((key, end_partner.get(key), comp_size.get(key)))
+        end_partner.pop(key, None)
+        comp_size.pop(key, None)
+
     def dfs(v: int, count: int, chosen: int) -> None:
         nonlocal best_size, best_mask, nodes
         nodes += 1
@@ -673,47 +682,38 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
         # apply: update path/cycle component bookkeeping
         saved = []
 
-        def put(key, val):
-            saved.append((key, end_partner.get(key), comp_size.get(key)))
-            end_partner[key] = val
-
-        def drop(key):
-            saved.append((key, end_partner.get(key), comp_size.get(key)))
-            end_partner.pop(key, None)
-            comp_size.pop(key, None)
-
         deg[v] = dv
         for u in us:
             deg[u] += 1
         if dv == 0:
-            put(v, v)
+            put(saved, v, v)
             comp_size[v] = 1
         elif dv == 1:
             u = us[0]
             other = end_partner[u]
             new_size = comp_size[u] + 1
             if other != u:
-                drop(u)
-            put(v, other)
+                drop(saved, u)
+            put(saved, v, other)
             comp_size[v] = new_size
-            put(other, v)
+            put(saved, other, v)
             comp_size[other] = new_size
         else:
             u1, u2 = us
             if closing:
-                drop(u1)
-                drop(u2)
+                drop(saved, u1)
+                drop(saved, u2)
             else:
                 other1 = end_partner[u1]
                 other2 = end_partner[u2]
                 new_size = comp_size[u1] + comp_size[u2] + 1
                 if other1 != u1:
-                    drop(u1)
+                    drop(saved, u1)
                 if other2 != u2:
-                    drop(u2)
-                put(other1, other2)
+                    drop(saved, u2)
+                put(saved, other1, other2)
                 comp_size[other1] = new_size
-                put(other2, other1)
+                put(saved, other2, other1)
                 comp_size[other2] = new_size
 
         dfs(v - 1, count + 1, chosen | (1 << v))
