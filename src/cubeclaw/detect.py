@@ -202,9 +202,9 @@ def check_witness(w: Witness, s: VertexSet) -> bool:
     True iff every structural invariant holds: membership, the claw's
     center-leaf adjacencies and leaf independence, or the cycle's
     consecutive adjacencies with no chords.  Adjacency is read off the
-    labels (exactly one differing bit), so no neighbor table is built
-    and the cost does not grow with the dimension.  Malformed witnesses
-    return False rather than raising.
+    labels (exactly one differing bit), so no neighbor table is built;
+    the cost is one shift of the 2^n-bit mask per membership test.
+    Malformed witnesses return False rather than raising.
     """
     nverts = 1 << s.dim
 

@@ -132,14 +132,8 @@ def _iter_bits(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _byte_bits() -> tuple[tuple[int, ...], ...]:
-    """Set-bit positions of every byte value; built on first wide scan."""
-    return tuple(tuple(_iter_bits(b)) for b in range(256))
-
-
-_WORD_BITS = 64
-"""Masks at most this wide are scanned bit by bit, wider ones by byte."""
+_BYTE_BITS = tuple(tuple(_iter_bits(b)) for b in range(256))
+"""Set-bit positions of every byte value."""
 
 
 def _permute_label(v: int, perm: tuple[int, ...]) -> int:
@@ -198,11 +192,8 @@ class VertexSet:
     def members(self) -> list[int]:
         """Member labels, ascending."""
         mask = self.mask
-        if mask.bit_length() <= _WORD_BITS:
-            return _iter_bits(mask)
-        table = _byte_bits()
         data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        return [8 * i + j for i, byte in enumerate(data) if byte for j in table[byte]]
+        return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
     def add(self, v: int) -> "VertexSet":
         check_vertex(v, self.dim)
@@ -232,7 +223,7 @@ class VertexSet:
         return f"VertexSet(dim={self.dim}, mask=0x{self.to_hex()})"
 
 
-_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
+_NON_HEX_DIGIT = re.compile("[^0-9a-fA-F]")
 
 
 def set_from_hex(text: str, dim: int) -> VertexSet:
@@ -246,10 +237,9 @@ def set_from_hex(text: str, dim: int) -> VertexSet:
         raise SetParseError(
             f"hex mask {text.strip()!r} has {len(token)} digits, expected {width} for dimension {dim}"
         )
-    if _HEX_DIGITS.fullmatch(token) is None:
-        for i, ch in enumerate(token):
-            if ch not in "0123456789abcdefABCDEF":
-                raise SetParseError(f"bad hex digit {ch!r} in mask", column=i + 1)
+    bad = _NON_HEX_DIGIT.search(token)
+    if bad is not None:
+        raise SetParseError(f"bad hex digit {bad.group()!r} in mask", column=bad.start() + 1)
     return VertexSet(dim, int(token, 16))
 
 

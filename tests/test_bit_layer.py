@@ -61,9 +61,9 @@ def test_split_embed_match_per_vertex_model():
                 assert embed(side0, coord, 0).union(embed(side1, coord, 1)) == s
 
 
-def test_members_and_from_members_round_trip_across_word_width():
+def test_members_and_from_members_round_trip():
     rng = random.Random(32)
-    # 2^6 = 64 bits is the widest mask scanned bit by bit
+    # masks of a partial byte, one byte, one machine word and many bytes
     for n in (1, 2, 5, 6, 7, 8, 11, 14):
         for mask in sample_masks(rng, n) + [rng.getrandbits(1 << n) & rng.getrandbits(1 << n)]:
             s = VertexSet(n, mask)
