@@ -32,7 +32,7 @@ from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
-from .hypercube import VertexSet, check_dim, hex_width, set_from_hex, vertex_from_text
+from .hypercube import VertexSet, check_dim, hex_width, set_from_hex
 from .verify import (
     VerificationReport,
     extremal_search,
@@ -61,35 +61,66 @@ class RunConfig:
     symmetry_reduced: bool = False
 
 
+_LINE_BLOCK = 1 << 16
+"""Characters of input split into lines at a time by ``_lines``."""
+
+
+def _lines(text: str):
+    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
+    split a block at a time so that no list of every line is built.
+
+    Each block ends just after a newline, and splitlines always breaks
+    there (a "\r\n" pair stays inside one block), so the blocks' lines
+    concatenate to the whole text's.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _LINE_BLOCK)
+        stop = len(text) if cut < 0 else cut + 1
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def parse_set(text: str, n: int) -> VertexSet:
     """Parse a vertex set from text: binary lines or a single hex mask.
 
     Rejects wrong-length strings, bad characters, duplicate vertices and
     empty input, each with its own diagnostic (with line/column where
-    applicable).
+    applicable).  Binary lines are read in one pass that sets each
+    vertex's bit as its line is read, so beside the text itself only the
+    2^n-bit mask is held, not a list of lines.
     """
     check_dim(n)
-    entries = [
-        (lineno + 1, line.strip())
-        for lineno, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
+    buf = bytearray(((1 << n) + 7) // 8)
+    entries = 0  # non-blank lines read
+    bad = None  # the first line that is not a binary vertex string
+    duplicate = None  # the first line repeating an earlier vertex
+    for lineno, line in enumerate(_lines(text), 1):
+        tok = line.strip()
+        if not tok:
+            continue
+        entries += 1
+        if bad is not None:
+            break  # a second line beside a non-binary one: not a lone hex mask
+        if len(tok) == n and not tok.strip("01"):
+            v = int(tok[::-1], 2)  # coordinate 1, the leftmost, is bit 0
+            bit = 1 << (v & 7)
+            if buf[v >> 3] & bit and duplicate is None:
+                duplicate = (lineno, tok)
+            buf[v >> 3] |= bit
+        else:
+            bad = (lineno, tok)
     if not entries:
         raise SetParseError("empty input where a vertex set is required")
 
-    if all(len(tok) == n and not set(tok) - {"0", "1"} for _, tok in entries):
-        labels = [vertex_from_text(tok, n) for _, tok in entries]
-        s = VertexSet.from_members(labels, n)
-        if len(s) < len(labels):
-            seen = set()
-            for (lineno, tok), v in zip(entries, labels):
-                if v in seen:
-                    raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
-                seen.add(v)
-        return s
+    if bad is None:
+        if duplicate is not None:
+            lineno, tok = duplicate
+            raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
+        return VertexSet(n, int.from_bytes(buf, "little"))
 
-    if len(entries) == 1:
-        lineno, tok = entries[0]
+    lineno, tok = bad
+    if entries == 1:
         stripped = tok[2:] if tok.lower().startswith("0x") else tok
         if len(stripped) == hex_width(n):
             try:
@@ -97,19 +128,16 @@ def parse_set(text: str, n: int) -> VertexSet:
             except SetParseError as exc:
                 raise SetParseError(exc.message, line=lineno, column=exc.column) from None
 
-    for lineno, tok in entries:
-        if len(tok) != n:
-            raise SetParseError(
-                f"vertex string {tok!r} has length {len(tok)}, expected {n}"
-                f" (or pass a single {hex_width(n)}-digit hex mask)",
-                line=lineno,
-            )
-        for col, ch in enumerate(tok):
-            if ch not in "01":
-                raise SetParseError(
-                    f"bad character {ch!r} in vertex string {tok!r}", line=lineno, column=col + 1
-                )
-    raise SetParseError("unrecognized vertex set format")
+    if len(tok) != n:
+        raise SetParseError(
+            f"vertex string {tok!r} has length {len(tok)}, expected {n}"
+            f" (or pass a single {hex_width(n)}-digit hex mask)",
+            line=lineno,
+        )
+    col = len(tok) - len(tok.lstrip("01"))
+    raise SetParseError(
+        f"bad character {tok[col]!r} in vertex string {tok!r}", line=lineno, column=col + 1
+    )
 
 
 def _load_set(config: RunConfig) -> VertexSet:
@@ -227,10 +255,15 @@ def run(config: RunConfig) -> int:
         forbidden = ("claw", f"C{config.cycle}")
         result = extremal_search(config.n, forbidden)
         document = {"extremal": result.to_dict()}
+        cap = (
+            "none (n <= 2, uncapped search)"
+            if result.half_cap is None
+            else f"f({result.dim - 1}) = {result.half_cap}"
+        )
         table = (
             f"max structure-free size in Q_{result.dim} avoiding {'/'.join(result.forbidden)}:"
             f" {result.max_size}\ncertificate (hex mask): {result.certificate.to_hex()}\n"
-            f"nodes explored: {result.nodes_explored}"
+            f"half cap: {cap}\nnodes explored: {result.nodes_explored}"
         )
         _emit(config, document, table)
         return 0

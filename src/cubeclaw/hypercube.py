@@ -375,6 +375,26 @@ def _perm_label_tables(dim: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _orbit(s: VertexSet) -> list[int]:
+    """Masks of all 2^n * n! automorphic images of ``s``, with repeats.
+
+    The package's one orbit scan: ``canonical_form`` takes its least
+    element, and the symmetry-reduced theorem check marks every element
+    as seen so that each class is scanned once.
+    """
+    members = s.members()
+    nverts = 1 << s.dim
+    images = []
+    for table in _perm_label_tables(s.dim):
+        permuted = [table[v] for v in members]
+        for c in range(nverts):
+            img = 0
+            for y in permuted:
+                img |= 1 << (y ^ c)
+            images.append(img)
+    return images
+
+
 def canonical_form(s: VertexSet) -> VertexSet:
     """Lexicographically least mask over the full automorphism orbit.
 
@@ -386,17 +406,4 @@ def canonical_form(s: VertexSet) -> VertexSet:
         raise ValueError(
             f"exact canonical form supports dimension <= {CANONICAL_DIM_CAP}, got {s.dim}"
         )
-    members = s.members()
-    if not members:
-        return s
-    nverts = 1 << s.dim
-    best = None
-    for table in _perm_label_tables(s.dim):
-        permuted = [table[v] for v in members]
-        for c in range(nverts):
-            img = 0
-            for y in permuted:
-                img |= 1 << (y ^ c)
-            if best is None or img < best:
-                best = img
-    return VertexSet(s.dim, best)
+    return VertexSet(s.dim, min(_orbit(s)))

@@ -23,7 +23,10 @@ The checks:
   halves, so the cross-edge reading is the operative one.
 - ``extremal_search``: branch-and-bound proof that the density bound is
   tight -- the largest structure-free subset has exactly half the
-  vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.
+  vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.  The search at
+  n caps each half of a coordinate split at the maximum it finds at
+  n - 1, the paper's induction; so the n = 5 maximum rests on the
+  half cap f(4) = 8, itself derived by the same search.
 - ``random_agreement_test``: seeded random cross-validation of the
   inductive extractor against direct search.
 """
@@ -35,7 +38,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .detect import (
@@ -51,7 +54,7 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _iter_bits, canonical_form, neighbor_masks
+from .hypercube import VertexSet, _iter_bits, _orbit, neighbor_masks
 from .witness import find_witness_inductive, required_size, resolve_five_four
 
 COUNTEREXAMPLE_CAP = 16
@@ -99,6 +102,12 @@ class ExtremalResult:
     max_size: int
     certificate: VertexSet
     nodes_explored: int
+    half_cap: Optional[int] = None
+    """f(n-1), the most a structure-free set can hold in one half of a
+    coordinate split; None at n <= 2, where the search runs uncapped."""
+    metrics: dict = field(default_factory=dict)
+    """Search counters, outside the pinned output: ``prunes`` counts the
+    branches cut by each bound."""
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +116,8 @@ class ExtremalResult:
             "max_size": self.max_size,
             "certificate": self.certificate.to_hex(),
             "nodes_explored": self.nodes_explored,
+            "half_cap": self.half_cap,
+            "metrics": self.metrics,
         }
 
 
@@ -176,16 +187,30 @@ _ODD_HALF_Q4 = 0xAAAA
 def _theorem_item(params, index, state):
     size, symmetry_reduced = params
     if state is None:
-        state = {"mask": unrank_subset(index, size, 16), "memo": {}}
+        state = {"mask": unrank_subset(index, size, 16)}
+        if symmetry_reduced:
+            # seen: Q_4 mask -> 1 + its class's place in classes, 0 until
+            # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
+            # takes over 1 MB; no size has more than 56 classes, and a
+            # 256th would raise rather than wrap.
+            state["seen"] = bytearray(1 << 16)
+            state["classes"] = []  # (class key, witness verdict)
     s = VertexSet(4, state["mask"])
     details = None
     if symmetry_reduced:
-        canon = canonical_form(s).mask
-        memo = state["memo"]
-        if canon not in memo:
-            w = find_theorem_witness(VertexSet(4, canon))
-            memo[canon] = w is not None and check_witness(w, VertexSet(4, canon))
-        ok = memo[canon]
+        # orbit marking: the first subset of a class met in this chunk
+        # scans its orbit once and marks every image; the least image is
+        # the class key.  A chunk starting mid-orbit rescans it itself.
+        seen = state["seen"]
+        classes = state["classes"]
+        if not seen[s.mask]:
+            orbit = _orbit(s)
+            canon = VertexSet(4, min(orbit))
+            w = find_theorem_witness(canon)
+            classes.append((canon.mask, w is not None and check_witness(w, canon)))
+            for img in orbit:
+                seen[img] = len(classes)
+        canon, ok = classes[seen[s.mask] - 1]
         details = {"class_counts": {format(canon, "04X"): 1}}
     else:
         w = find_theorem_witness(s)
@@ -433,6 +458,10 @@ def verify_theorem_exhaustive(
     With ``symmetry_reduced`` the witness existence is evaluated once per
     automorphism class and replayed across the orbit; the digest then
     doubles as a cross-check that existence is automorphism-invariant.
+    Classes are found by orbit marking (cf. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998): the first subset of a
+    class that a chunk meets has its at most 384 images generated once,
+    and each is marked with the least image, the class key.
     """
     if n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
@@ -616,8 +645,18 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     inclusion, so complete sets are reached in increasing-mask order and
     the first maximum found is the lexicographically least one.  A branch
     is cut when a vertex would reach in-set degree 3 (that is a claw),
-    when the chosen vertices would close an induced C_k, or when the
-    undecided vertices cannot lift the current count past the best.
+    when the chosen vertices would close an induced C_k, when the
+    undecided vertices cannot lift the current count past the best, or
+    when the two halves of some coordinate split cannot.
+
+    The last cut is the paper's induction.  Each coordinate splits Q_n
+    into two copies of Q_{n-1}, and a structure-free set meets each copy
+    in a structure-free set, so neither half holds more than f(n-1), the
+    maximum one dimension down.  That half cap is not a constant: it is
+    derived by the same search at n - 1, recursively, down to an
+    exhaustive search at n <= 2, and recorded as ``half_cap``.  So the
+    n = 5 maximum rests on f(4) = 8, itself found exhaustively under the
+    cap f(3) = 6.
 
     Supported ranges: n <= 5 with C8 forbidden, n = 3 with C6 forbidden.
     """
@@ -626,6 +665,13 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
         raise ValueError(f"claw+C8 search supports n <= 5, got {n}")
     if k == 6 and n != 3:
         raise ValueError(f"claw+C6 search supports n = 3 only, got {n}")
+    return replace(_max_free(n, k), forbidden=normalized)
+
+
+def _max_free(n: int, k: int) -> ExtremalResult:
+    """The search behind ``extremal_search``, without its range checks,
+    so that the half cap can recurse below the supported range."""
+    half_cap = _max_free(n - 1, k).max_size if n > 2 else None
 
     nverts = 1 << n
     nbr = neighbor_masks(n)
@@ -640,6 +686,20 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     best_size = seed_size - 1
     best_mask = 0
     nodes = 0
+    cuts = dict.fromkeys(("claw_degree", "closed_cycle", "count_bound", "half_cap"), 0)
+
+    # ones[j]: chosen vertices with bit j set (the rest of the count has
+    # it clear).  spare[v]: for each j, how many of the undecided
+    # vertices 0..v have bit j clear, then for each j how many have it
+    # set.  Each half of the split on bit j can still end with at most
+    # min(chosen + undecided in it, half_cap) vertices.
+    ones = [0] * n
+    spare = []
+    below = [0] * n
+    for v in range(nverts):
+        for j in range(n):
+            below[j] += v >> j & 1
+        spare.append((tuple(v + 1 - c for c in below), tuple(below)))
 
     def put(saved: list, key: int, val: int) -> None:
         saved.append((key, end_partner.get(key), comp_size.get(key)))
@@ -654,21 +714,35 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
         nonlocal best_size, best_mask, nodes
         nodes += 1
         if count + v + 1 <= best_size:
+            cuts["count_bound"] += 1
             return
         if v < 0:
             best_size = count
             best_mask = chosen
             return
+        if half_cap is not None:
+            for high, clear, set_ in zip(ones, *spare[v]):
+                side0 = count - high + clear
+                side1 = high + set_
+                if (
+                    (side0 if side0 < half_cap else half_cap)
+                    + (side1 if side1 < half_cap else half_cap)
+                    <= best_size
+                ):
+                    cuts["half_cap"] += 1
+                    return
 
         dfs(v - 1, count, chosen)
 
         hood = nbr[v] & chosen
         dv = hood.bit_count()
         if dv > 2:
+            cuts["claw_degree"] += 1
             return
         us = _iter_bits(hood)
         for u in us:
             if deg[u] == 2:
+                cuts["claw_degree"] += 1
                 return
 
         closing = False
@@ -676,6 +750,7 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
             u1, u2 = us
             if end_partner.get(u1) == u2:
                 if comp_size[u1] + 1 == k:
+                    cuts["closed_cycle"] += 1
                     return
                 closing = True
 
@@ -715,10 +790,15 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
                 comp_size[other1] = new_size
                 put(saved, other2, other1)
                 comp_size[other2] = new_size
+        vbits = _iter_bits(v)
+        for j in vbits:
+            ones[j] += 1
 
         dfs(v - 1, count + 1, chosen | (1 << v))
 
         # undo
+        for j in vbits:
+            ones[j] -= 1
         for key, old_partner, old_size in reversed(saved):
             if old_partner is None:
                 end_partner.pop(key, None)
@@ -735,8 +815,10 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     dfs(nverts - 1, 0, 0)
     return ExtremalResult(
         dim=n,
-        forbidden=normalized,
+        forbidden=("claw", f"C{k}"),
         max_size=best_size,
         certificate=VertexSet(n, best_mask),
         nodes_explored=nodes,
+        half_cap=half_cap,
+        metrics={"prunes": cuts},
     )

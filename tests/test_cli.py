@@ -63,6 +63,20 @@ def test_parse_set_distinct_diagnostics():
         parse_set("0xZZ", 3)
 
 
+def test_parse_set_long_input_keeps_first_diagnostic():
+    # ~108 KB of CRLF lines: more than one block of the line reader
+    n = 16
+    s = VertexSet.from_members(random.Random(9).sample(range(1 << n), 6000), n)
+    lines = s.to_lines().split("\n")
+    assert parse_set("\r\n".join(lines), n) == s
+    with pytest.raises(SetParseError, match=r"duplicate vertex.*\(line 5001\)$"):
+        dups = lines[:5000] + [lines[17]] + lines[5000:5500] + [lines[18]] + lines[5500:]
+        parse_set("\r\n".join(dups), n)
+    bad = lines[:4000] + ["0" * (n - 1)] + lines[4000:4500] + ["2" * n] + lines[4500:]
+    with pytest.raises(SetParseError, match=r"length 15.*\(line 4001\)$"):
+        parse_set("\r\n".join(bad), n)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -1,0 +1,97 @@
+"""The half-cube cap of the extremal search, and orbit marking in the
+symmetry-reduced theorem check."""
+
+import math
+from collections import Counter
+from dataclasses import replace
+from itertools import permutations
+
+import pytest
+
+import cubeclaw.verify as verify_mod
+from cubeclaw.hypercube import (
+    Automorphism,
+    VertexSet,
+    _orbit,
+    apply_automorphism,
+    canonical_form,
+)
+from cubeclaw.verify import (
+    _run_chunk,
+    extremal_search,
+    gosper_next,
+    unrank_subset,
+    verify_theorem_exhaustive,
+)
+from oracles import claw_exists, induced_cycle_exists
+from test_shared_helpers import InlinePool
+
+
+def test_extremal_certificates_and_oracle_check():
+    assert extremal_search(3, ("claw", "C6")).certificate.to_hex() == "3D"
+    assert extremal_search(4).certificate.to_hex() == "07BC"
+    r5 = extremal_search(5)
+    assert (r5.max_size, r5.certificate.to_hex()) == (16, "0FF0F00F")
+    members = r5.certificate.members()
+    assert not claw_exists(members, 5)
+    assert not induced_cycle_exists(members, 5, 8)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_half_cap_is_the_search_one_dimension_down(n):
+    assert extremal_search(n).half_cap == extremal_search(n - 1).max_size
+
+
+def test_half_cap_comes_from_the_recursion(monkeypatch):
+    real = verify_mod._max_free
+
+    def one_short(n, k):
+        result = real(n, k)
+        return replace(result, max_size=result.max_size - 1) if n == 4 else result
+
+    monkeypatch.setattr(verify_mod, "_max_free", one_short)
+    capped = extremal_search(5)
+    assert capped.half_cap == 7
+    # two halves of at most 7 cannot beat the seed bound of 15
+    assert (capped.max_size, capped.certificate.to_hex()) != (16, "0FF0F00F")
+
+
+def test_half_cap_cuts_the_n5_search():
+    result = extremal_search(5)
+    assert result.nodes_explored < 100_000
+    assert result.metrics["prunes"]["half_cap"] > 0
+    assert extremal_search(2).half_cap is None
+
+
+def test_orbit_is_every_automorphic_image():
+    s = VertexSet.from_members([0, 1, 3, 6], 3)
+    images = {
+        apply_automorphism(s, Automorphism(perm, flips)).mask
+        for perm in permutations(range(3))
+        for flips in range(8)
+    }
+    assert len(_orbit(s)) == 48 and set(_orbit(s)) == images
+    assert canonical_form(s).mask == min(images)
+
+
+def test_symmetry_reduced_split_across_two_workers(monkeypatch):
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    InlinePool.requested = []
+    raw = verify_theorem_exhaustive(4, 9)
+    reduced = verify_theorem_exhaustive(4, 9, workers=2, symmetry_reduced=True)
+    assert InlinePool.requested == [2]
+    assert reduced.deterministic_digest == raw.deterministic_digest
+    assert reduced.details == {"distinct_classes": 56, "orbit_accounting_total": 11440}
+
+
+def test_mid_orbit_chunk_keys_are_canonical_forms():
+    start, stop = math.comb(16, 9) // 2, math.comb(16, 9) // 2 + 60
+    _, passed, _, details = _run_chunk("theorem", (9, True), start, stop)
+    assert passed == stop - start
+    mask = unrank_subset(start, 9, 16)
+    expected = Counter()
+    for _ in range(start, stop):
+        expected[canonical_form(VertexSet(4, mask)).to_hex()] += 1
+        mask = gosper_next(mask)
+    assert details["class_counts"] == dict(expected)
