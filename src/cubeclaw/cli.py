@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("extremal", help="largest structure-free subset")
-    sp.add_argument("--n", type=int, required=True, help="cube dimension")
+    sp.add_argument("--n", type=int, required=True, help="cube dimension, 1..5 (3 with --cycle 6)")
     sp.add_argument(
         "--cycle", type=int, default=8, choices=(6, 8), help="forbidden cycle length"
     )

@@ -7,7 +7,8 @@ member has at least three in-set neighbors (a "claw-center"), and claw
 detection is a single degree scan.  That scan is ``claw_center``, and
 ``claw_at`` builds the claw at a center; ``find_claw``, the structured
 solver and the case-claim checks all go through these two.
-``classify_five_set`` holds the package's only mask BFS.
+``classify_five_set`` holds the package's only mask BFS, and
+``_path_from`` the one path walk, shared with the extremal search.
 
 Induced-cycle search is a depth-first path extension with chord pruning:
 a partial path is abandoned as soon as its tip is adjacent to any path
@@ -182,18 +183,27 @@ def classify_five_set(s: VertexSet) -> PathClassification:
     if not ones:
         return PathClassification(FiveSetKind.INDUCED_CYCLE)
     if len(ones) == 2:
-        order = [ones[0]]
-        prev_bit = 0
-        while len(order) < 5:
-            nxt = _iter_bits(hoods[order[-1]] & ~prev_bit)[0]
-            prev_bit = 1 << order[-1]
-            order.append(nxt)
+        order = _path_from(ones[0], s.mask, s.dim)
         return PathClassification(
             FiveSetKind.PATH_P5,
             endpoints=(order[0], order[4]),
             internal=(order[1], order[2], order[3]),
         )
     return PathClassification(FiveSetKind.OTHER)
+
+
+def _path_from(end: int, mask: int, dim: int) -> list[int]:
+    """The vertices of the path that ``mask`` induces from its endpoint
+    ``end``, in order.  Every vertex on that path must have at most two
+    neighbors in ``mask``, and ``end`` at most one."""
+    nbr = neighbor_masks(dim)
+    path = [end]
+    step = nbr[end] & mask
+    while step:
+        prev_bit = 1 << path[-1]
+        path.append(step.bit_length() - 1)
+        step = nbr[path[-1]] & mask & ~prev_bit
+    return path
 
 
 def check_witness(w: Witness, s: VertexSet) -> bool:

@@ -46,6 +46,7 @@ from .detect import (
     FiveSetKind,
     InducedCycle,
     PathClassification,
+    _path_from,
     check_witness,
     claw_center,
     classify_five_set,
@@ -647,7 +648,11 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     is cut when a vertex would reach in-set degree 3 (that is a claw),
     when the chosen vertices would close an induced C_k, when the
     undecided vertices cannot lift the current count past the best, or
-    when the two halves of some coordinate split cannot.
+    when the two halves of some coordinate split cannot.  Every cut is
+    read off the mask of chosen vertices, so no node keeps state to undo.
+    Before returning, the detectors confirm that the certificate has
+    ``max_size`` members, no claw and no induced C_k, or
+    ``TheoremViolationError`` is raised.
 
     The last cut is the paper's induction.  Each coordinate splits Q_n
     into two copies of Q_{n-1}, and a structure-free set meets each copy
@@ -675,40 +680,15 @@ def _max_free(n: int, k: int) -> ExtremalResult:
 
     nverts = 1 << n
     nbr = neighbor_masks(n)
+    # halves[j]: the vertices with bit j set, one half of the split on bit j
+    halves = [sum(1 << v for v in range(nverts) if v >> j & 1) for j in range(n)]
 
     # The even-weight half induces no edges at all, so it is free of both
     # structures; its size seeds the bound and guarantees a certificate.
-    seed_size = nverts // 2
-
-    deg = [0] * nverts
-    end_partner: dict[int, int] = {}
-    comp_size: dict[int, int] = {}
-    best_size = seed_size - 1
+    best_size = nverts // 2 - 1
     best_mask = 0
     nodes = 0
     cuts = dict.fromkeys(("claw_degree", "closed_cycle", "count_bound", "half_cap"), 0)
-
-    # ones[j]: chosen vertices with bit j set (the rest of the count has
-    # it clear).  spare[v]: for each j, how many of the undecided
-    # vertices 0..v have bit j clear, then for each j how many have it
-    # set.  Each half of the split on bit j can still end with at most
-    # min(chosen + undecided in it, half_cap) vertices.
-    ones = [0] * n
-    spare = []
-    below = [0] * n
-    for v in range(nverts):
-        for j in range(n):
-            below[j] += v >> j & 1
-        spare.append((tuple(v + 1 - c for c in below), tuple(below)))
-
-    def put(saved: list, key: int, val: int) -> None:
-        saved.append((key, end_partner.get(key), comp_size.get(key)))
-        end_partner[key] = val
-
-    def drop(saved: list, key: int) -> None:
-        saved.append((key, end_partner.get(key), comp_size.get(key)))
-        end_partner.pop(key, None)
-        comp_size.pop(key, None)
 
     def dfs(v: int, count: int, chosen: int) -> None:
         nonlocal best_size, best_mask, nodes
@@ -721,9 +701,13 @@ def _max_free(n: int, k: int) -> ExtremalResult:
             best_mask = chosen
             return
         if half_cap is not None:
-            for high, clear, set_ in zip(ones, *spare[v]):
-                side0 = count - high + clear
-                side1 = high + set_
+            # avail: the chosen and the undecided vertices.  Each half of
+            # the split on bit j can still end with at most
+            # min(its share of avail, half_cap) vertices.
+            avail = chosen | ((2 << v) - 1)
+            for half in halves:
+                side1 = (avail & half).bit_count()
+                side0 = count + v + 1 - side1
                 if (
                     (side0 if side0 < half_cap else half_cap)
                     + (side1 if side1 < half_cap else half_cap)
@@ -734,90 +718,40 @@ def _max_free(n: int, k: int) -> ExtremalResult:
 
         dfs(v - 1, count, chosen)
 
-        hood = nbr[v] & chosen
-        dv = hood.bit_count()
-        if dv > 2:
+        # v's chosen neighbors are pairwise non-adjacent: taking v makes a
+        # claw if it has three, or if one of them already has two
+        us = _iter_bits(nbr[v] & chosen)
+        if len(us) > 2:
             cuts["claw_degree"] += 1
             return
-        us = _iter_bits(hood)
         for u in us:
-            if deg[u] == 2:
+            if (nbr[u] & chosen).bit_count() == 2:
                 cuts["claw_degree"] += 1
                 return
-
-        closing = False
-        if dv == 2:
-            u1, u2 = us
-            if end_partner.get(u1) == u2:
-                if comp_size[u1] + 1 == k:
-                    cuts["closed_cycle"] += 1
-                    return
-                closing = True
-
-        # apply: update path/cycle component bookkeeping
-        saved = []
-
-        deg[v] = dv
-        for u in us:
-            deg[u] += 1
-        if dv == 0:
-            put(saved, v, v)
-            comp_size[v] = 1
-        elif dv == 1:
-            u = us[0]
-            other = end_partner[u]
-            new_size = comp_size[u] + 1
-            if other != u:
-                drop(saved, u)
-            put(saved, v, other)
-            comp_size[v] = new_size
-            put(saved, other, v)
-            comp_size[other] = new_size
-        else:
-            u1, u2 = us
-            if closing:
-                drop(saved, u1)
-                drop(saved, u2)
-            else:
-                other1 = end_partner[u1]
-                other2 = end_partner[u2]
-                new_size = comp_size[u1] + comp_size[u2] + 1
-                if other1 != u1:
-                    drop(saved, u1)
-                if other2 != u2:
-                    drop(saved, u2)
-                put(saved, other1, other2)
-                comp_size[other1] = new_size
-                put(saved, other2, other1)
-                comp_size[other2] = new_size
-        vbits = _iter_bits(v)
-        for j in vbits:
-            ones[j] += 1
+        # joining the two ends u1 < u2 of one chosen path closes a cycle
+        if len(us) == 2:
+            path = _path_from(us[0], chosen, n)
+            if path[-1] == us[1] and len(path) == k - 1:
+                cuts["closed_cycle"] += 1
+                return
 
         dfs(v - 1, count + 1, chosen | (1 << v))
 
-        # undo
-        for j in vbits:
-            ones[j] -= 1
-        for key, old_partner, old_size in reversed(saved):
-            if old_partner is None:
-                end_partner.pop(key, None)
-            else:
-                end_partner[key] = old_partner
-            if old_size is None:
-                comp_size.pop(key, None)
-            else:
-                comp_size[key] = old_size
-        for u in us:
-            deg[u] -= 1
-        deg[v] = 0
-
     dfs(nverts - 1, 0, 0)
+    certificate = VertexSet(n, best_mask)
+    if not (
+        len(certificate) == best_size
+        and find_claw(certificate) is None
+        and (best_size < k or find_induced_cycle(certificate, k) is None)
+    ):
+        raise TheoremViolationError(
+            f"no valid certificate of size {best_size} under half cap {half_cap}", n, best_mask
+        )
     return ExtremalResult(
         dim=n,
         forbidden=("claw", f"C{k}"),
         max_size=best_size,
-        certificate=VertexSet(n, best_mask),
+        certificate=certificate,
         nodes_explored=nodes,
         half_cap=half_cap,
         metrics={"prunes": cuts},

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 import cubeclaw.verify as verify_mod
+from cubeclaw.errors import TheoremViolationError
 from cubeclaw.hypercube import (
     Automorphism,
     VertexSet,
@@ -35,6 +36,20 @@ def test_extremal_certificates_and_oracle_check():
     members = r5.certificate.members()
     assert not claw_exists(members, 5)
     assert not induced_cycle_exists(members, 5, 8)
+    # the exact search: nodes and prunes (claw degree, closed cycle, count
+    # bound, half cap).  In Q_3 a closed C6 is allowed while C8 is forbidden.
+    r3 = extremal_search(3)
+    assert (r3.max_size, r3.certificate.to_hex()) == (6, "7E")
+    kinds = ("claw_degree", "closed_cycle", "count_bound", "half_cap")
+    for n, cycle, nodes, prunes in [
+        (3, "C6", 139, (22, 4, 55, 0)),
+        (3, "C8", 109, (16, 0, 44, 0)),
+        (4, "C8", 9093, (2696, 124, 2981, 155)),
+        (5, "C8", 2263, (768, 8, 4, 739)),
+    ]:
+        result = extremal_search(n, ("claw", cycle))
+        assert result.nodes_explored == nodes
+        assert result.metrics["prunes"] == dict(zip(kinds, prunes))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -50,10 +65,10 @@ def test_half_cap_comes_from_the_recursion(monkeypatch):
         return replace(result, max_size=result.max_size - 1) if n == 4 else result
 
     monkeypatch.setattr(verify_mod, "_max_free", one_short)
-    capped = extremal_search(5)
-    assert capped.half_cap == 7
-    # two halves of at most 7 cannot beat the seed bound of 15
-    assert (capped.max_size, capped.certificate.to_hex()) != (16, "0FF0F00F")
+    # two halves of at most 7 cannot beat the seed bound of 15, and the
+    # search finds no certificate for it
+    with pytest.raises(TheoremViolationError, match="size 15 under half cap 7"):
+        extremal_search(5)
 
 
 def test_half_cap_cuts_the_n5_search():
