@@ -61,24 +61,32 @@ class RunConfig:
     symmetry_reduced: bool = False
 
 
+_BRUTEFORCE_MAX_DIM = 12
+"""Largest n for ``witness --method bruteforce``: it builds the 4^n/8-byte
+``neighbor_masks(n)`` table, 2 MB at n = 12 and 512 MB at n = 16."""
+
 _LINE_BLOCK = 1 << 16
-"""Characters of input split into lines at a time by ``_lines``."""
+"""Characters of input read and split into lines at a time by ``_lines``."""
 
 
-def _lines(text: str):
-    """The lines of ``text`` exactly as ``text.splitlines()`` gives them,
-    split a block at a time so that no list of every line is built.
+def _lines(blocks):
+    """The lines of the concatenated text blocks exactly as
+    ``"".join(blocks).splitlines()`` gives them, without joining them.
 
-    Each block ends just after a newline, and splitlines always breaks
-    there (a "\r\n" pair stays inside one block), so the blocks' lines
+    Each block is split just after its last newline and the rest is
+    carried into the next block.  splitlines always breaks after a
+    "\n" (a "\r\n" pair stays on one side), so the pieces' lines
     concatenate to the whole text's.
     """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _LINE_BLOCK)
-        stop = len(text) if cut < 0 else cut + 1
-        yield from text[start:stop].splitlines()
-        start = stop
+    carry = ""
+    for block in blocks:
+        cut = block.rfind("\n") + 1
+        if not cut:
+            carry += block
+            continue
+        yield from (carry + block[:cut]).splitlines()
+        carry = block[cut:]
+    yield from carry.splitlines()
 
 
 def parse_set(text: str, n: int) -> VertexSet:
@@ -86,16 +94,25 @@ def parse_set(text: str, n: int) -> VertexSet:
 
     Rejects wrong-length strings, bad characters, duplicate vertices and
     empty input, each with its own diagnostic (with line/column where
-    applicable).  Binary lines are read in one pass that sets each
-    vertex's bit as its line is read, so beside the text itself only the
-    2^n-bit mask is held, not a list of lines.
+    applicable).
+    """
+    step = _LINE_BLOCK
+    return _parse_blocks((text[i : i + step] for i in range(0, len(text), step)), n)
+
+
+def _parse_blocks(blocks, n: int) -> VertexSet:
+    """``parse_set`` over text given as consecutive blocks.
+
+    Binary lines are read in one pass that sets each vertex's bit as its
+    line is read, so beside one block (or one line, if longer) only the
+    2^n-bit mask is held, not the text or a list of lines.
     """
     check_dim(n)
     buf = bytearray(((1 << n) + 7) // 8)
     entries = 0  # non-blank lines read
     bad = None  # the first line that is not a binary vertex string
     duplicate = None  # the first line repeating an earlier vertex
-    for lineno, line in enumerate(_lines(text), 1):
+    for lineno, line in enumerate(_lines(blocks), 1):
         tok = line.strip()
         if not tok:
             continue
@@ -147,12 +164,12 @@ def _load_set(config: RunConfig) -> VertexSet:
     if kind == "hex":
         return set_from_hex(value, config.n)
     if kind == "file":
+        # universal-newline reads never end between the "\r" and "\n" of a pair
         try:
             with open(value, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return _parse_blocks(iter(lambda: fh.read(_LINE_BLOCK), ""), config.n)
         except OSError as exc:
             raise SetParseError(f"cannot read set file {value!r}: {exc}") from None
-        return parse_set(text, config.n)
     return parse_set("\n".join(value.replace(",", " ").split()), config.n)
 
 
@@ -220,6 +237,10 @@ def run(config: RunConfig) -> int:
         return _finish_reports(config, verify_case_claims(case, config.workers))
 
     if config.command == "witness":
+        if config.method == "bruteforce" and config.n > _BRUTEFORCE_MAX_DIM:
+            raise ValueError(
+                f"--method bruteforce supports n in 1..{_BRUTEFORCE_MAX_DIM}, got {config.n}"
+            )
         s = _load_set(config)
         case = None
         trace = None
@@ -326,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("inductive", "bruteforce", "structured"),
         default="inductive",
-        help="inductive descent (default), direct search, or case dispatch",
+        help=(
+            f"inductive descent (default), direct search (n in 1..{_BRUTEFORCE_MAX_DIM}),"
+            " or case dispatch"
+        ),
     )
     common(sp)
 

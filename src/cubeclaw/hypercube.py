@@ -167,7 +167,8 @@ class VertexSet:
     def from_members(cls, members, dim: int) -> "VertexSet":
         buf = bytearray(((1 << check_dim(dim)) + 7) // 8)
         for v in members:
-            check_vertex(v, dim)
+            if not isinstance(v, int) or v < 0 or v >> dim:
+                check_vertex(v, dim)  # raises; the test is inline to save a call per member
             buf[v >> 3] |= 1 << (v & 7)
         return cls(dim, int.from_bytes(buf, "little"))
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -316,15 +317,31 @@ def _case4_outcomes_item(params, index, state):
     return ok, cex, details, None
 
 
-def _random_agreement_item(params, index, state):
-    import random
+def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
+    """The subset random-agreement trial ``index`` draws: the first
+    2^(n-1) + 1 labels of ``random.Random(f"{seed}:{index}").shuffle``
+    over all 2^n labels.
 
-    n, seed = params
-    rng = random.Random(f"{seed}:{index}")
+    The shuffle's top-down Fisher-Yates swaps stop when ``i`` reaches
+    the prefix length: every later swap stays inside the prefix.  Each
+    index is the draw ``Random.shuffle`` makes through ``_randbelow``:
+    ``k`` bits, redrawn while the value exceeds ``i``.
+    """
+    getrandbits = random.Random(f"{seed}:{index}").getrandbits
     labels = list(range(1 << n))
-    rng.shuffle(labels)
     target = required_size(n)
-    s = VertexSet.from_members(labels[:target], n)
+    for i in range((1 << n) - 1, target - 1, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        labels[i], labels[j] = labels[j], labels[i]
+    return VertexSet.from_members(labels[:target], n)
+
+
+def _random_agreement_item(params, index, state):
+    n, seed = params
+    s = _trial_subset(n, seed, index)
     try:
         w, trace = find_witness_inductive(s)
         sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
@@ -598,11 +615,15 @@ def analyze_case_four_placement(five: VertexSet) -> CaseFourOutcome:
 def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> VerificationReport:
     """Cross-validate the inductive extractor on seeded random subsets.
 
-    Each trial shuffles the 2^n labels with its own deterministically
-    derived generator and takes the first 2^(n-1) + 1 as the subset; the
-    extracted witness must validate and the trace must satisfy the
-    half-plus-one inequality at every level.  For n <= 5 existence is
-    also cross-checked against direct search.
+    Each trial's subset is the first 2^(n-1) + 1 labels of a shuffle of
+    all 2^n labels by its own deterministically derived generator
+    (``_trial_subset``).  The shuffle's top-down Fisher-Yates swaps stop
+    once the prefix is final: the swaps still to come would only reorder
+    the prefix, so it holds the same labels as after a full
+    ``Random.shuffle``, and a test pins that equality.  The extracted
+    witness must validate and the trace must satisfy the half-plus-one
+    inequality at every level.  For n <= 5 existence is also
+    cross-checked against direct search.
     """
     if not 4 <= n <= 12:
         raise ValueError(f"random agreement test supports 4 <= n <= 12, got {n}")

@@ -8,6 +8,7 @@ stay the ground truth the fast implementations are checked against.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 
@@ -122,3 +123,11 @@ def binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def shuffle_prefix(n: int, seed: int, index: int) -> list[int]:
+    """Random-agreement trial ``index``'s draw as first specified: a full
+    ``Random.shuffle`` of the 2^n labels, then its first 2^(n-1) + 1."""
+    labels = list(range(2**n))
+    random.Random(f"{seed}:{index}").shuffle(labels)
+    return labels[: 2 ** (n - 1) + 1]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cubeclaw import cli
 from cubeclaw.cli import RunConfig, build_parser, config_from_args, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
@@ -75,6 +76,57 @@ def test_parse_set_long_input_keeps_first_diagnostic():
     bad = lines[:4000] + ["0" * (n - 1)] + lines[4000:4500] + ["2" * n] + lines[4500:]
     with pytest.raises(SetParseError, match=r"length 15.*\(line 4001\)$"):
         parse_set("\r\n".join(bad), n)
+
+
+def _parse_outcome(parse):
+    try:
+        return ("set", parse().mask)
+    except SetParseError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+
+
+def test_set_file_is_read_in_blocks(tmp_path, monkeypatch):
+    # a file read one block at a time, and text sliced into blocks, parse
+    # exactly as the whole text does: same set, or same message/line/column
+    n = 5
+    labels = random.Random(11).sample(range(1 << n), 20)
+    lines = [VertexSet(n, 1 << v).to_lines() for v in labels]
+    hex_mask = VertexSet.from_members(range(17), n).to_hex()
+    bad_lines = lines[:11] + ["", "0111"] + lines[11:]  # the blank line follows a "\n"
+    bodies = {
+        "lines": lines,
+        "blank lines": lines[:5] + ["", "  "] + lines[5:] + [""],
+        "duplicates": lines[:9] + [lines[2]] + lines[9:] + [lines[4]],
+        "bad line": lines[:12] + ["01021"] + lines[12:] + ["0111"],
+        "short line": lines[:3] + ["0101"] + lines[3:],
+        "hex mask": [hex_mask],
+        "hex mask padded": ["", "  0x" + hex_mask + " ", ""],
+        "bad hex": [hex_mask[:5] + "G" + hex_mask[6:]],
+        "mixed endings": [
+            "".join(a + b for a, b in zip(bad_lines, ["\n", "\x0c", "\r\n", "\x0b", "\r"] * 5))
+        ],
+    }
+    members = ("set", VertexSet.from_members(labels, n).mask)
+    for ending in ("\n", "\r\n", "\r", "\x0b", "\x0c"):
+        for name, body in bodies.items():
+            for tail in ("", ending):
+                raw = ending.join(body) + tail
+                path = tmp_path / "set.txt"
+                path.write_bytes(raw.encode())
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                whole = _parse_outcome(lambda: parse_set(text, n))
+                raw_whole = _parse_outcome(lambda: parse_set(raw, n))
+                if name in ("lines", "blank lines"):
+                    assert whole == raw_whole == members
+                config = RunConfig("witness", n=n, set_source=("file", str(path)))
+                for block in (1, 2, 3, 7):
+                    monkeypatch.setattr(cli, "_LINE_BLOCK", block)
+                    case = (name, repr(ending), repr(tail), block)
+                    assert _parse_outcome(lambda: cli._load_set(config)) == whole, case
+                    assert _parse_outcome(lambda: parse_set(text, n)) == whole, case
+                    assert _parse_outcome(lambda: parse_set(raw, n)) == raw_whole, case
+                monkeypatch.undo()
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +201,24 @@ def test_cli_witness_bruteforce_absence(capsys):
     )
     assert code == 1
     assert "no witness" in out
+
+
+def test_cli_witness_bruteforce_dimension_cap(capsys):
+    s = VertexSet.from_members(range(1 << 12), 13)
+    code, _, err = run_cli(
+        capsys, "witness", "--n", "13", "--hex", s.to_hex(), "--method", "bruteforce"
+    )
+    assert code == 2
+    assert "bruteforce supports n in 1..12, got 13" in err
+    with pytest.raises(SystemExit):
+        main(["witness", "--help"])
+    assert "direct search (n in 1..12)" in " ".join(capsys.readouterr().out.split())
+    s = VertexSet.from_members(range(1 << 11), 12).add(1 << 11)
+    code, out, _ = run_cli(
+        capsys, "witness", "--n", "12", "--hex", s.to_hex(), "--method", "bruteforce"
+    )
+    assert code == 0
+    assert out.startswith("claw ")
 
 
 def test_cli_witness_from_file_and_output(tmp_path, capsys):

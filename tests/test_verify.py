@@ -15,13 +15,14 @@ from cubeclaw.verify import (
     analyze_case_four_placement,
     extremal_search,
     gosper_next,
+    _trial_subset,
     random_agreement_test,
     unrank_subset,
     verify_case_claims,
     verify_proposition_exhaustive,
     verify_theorem_exhaustive,
 )
-from oracles import binomial, claw_exists, induces_cycle
+from oracles import binomial, claw_exists, induces_cycle, shuffle_prefix
 
 
 def test_unranking_matches_gosper_enumeration():
@@ -230,6 +231,16 @@ def test_random_agreement_smoke():
     assert again.deterministic_digest == report.deterministic_digest
     different = random_agreement_test(4, 50, seed=2)
     assert different.deterministic_digest == report.deterministic_digest  # all pass
+
+
+def test_trial_subset_is_the_full_shuffle_prefix():
+    # every trial passes, so the digest cannot tell which sets were drawn;
+    # this pins the early-stopped shuffle to Random.shuffle's prefix
+    for n in range(4, 13):
+        for seed in (0, 1, 7, 42):
+            for index in range(30):
+                expected = VertexSet.from_members(shuffle_prefix(n, seed, index), n)
+                assert _trial_subset(n, seed, index) == expected, (n, seed, index)
 
 
 def test_random_agreement_validation():
