@@ -34,6 +34,9 @@ from .detect import check_witness, find_theorem_witness, witness_to_text
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
 from .hypercube import VertexSet, check_dim, hex_width, set_from_hex
 from .verify import (
+    _EXTREMAL_C8_DIMS,
+    _RANDOM_DIMS,
+    _THEOREM_SIZES,
     VerificationReport,
     extremal_search,
     random_agreement_test,
@@ -231,9 +234,7 @@ def run(config: RunConfig) -> int:
         return _finish_reports(config, [verify_proposition_exhaustive(config.workers)])
 
     if config.command == "verify-cases":
-        case = config.case
-        if isinstance(case, str) and case != "all":
-            case = int(case)
+        case = config.case if config.case == "all" else int(config.case)
         return _finish_reports(config, verify_case_claims(case, config.workers))
 
     if config.command == "witness":
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-theorem", help="exhaustive subset check in Q_4")
     sp.add_argument("--n", type=int, default=4, help="cube dimension (only 4 supported)")
-    sp.add_argument("--size", type=int, default=9, help="subset size, >= 9")
+    sp.add_argument("--size", type=int, default=9, help="subset size, %d..%d" % _THEOREM_SIZES)
     sp.add_argument(
         "--symmetry-reduced",
         action="store_true",
@@ -334,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify-cases", help="machine-check the case-analysis claims")
-    sp.add_argument("--case", default="all", help="1..4 or 'all' (default)")
+    cases = ("1", "2", "3", "4", "all")
+    sp.add_argument("--case", default="all", choices=cases, help="one split, or all (default)")
     common(sp)
 
     sp = sub.add_parser("witness", help="extract a claw or cycle witness from a set")
@@ -355,14 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("extremal", help="largest structure-free subset")
-    sp.add_argument("--n", type=int, required=True, help="cube dimension, 1..5 (3 with --cycle 6)")
+    n_help = "cube dimension, %d..%d (3 with --cycle 6)" % _EXTREMAL_C8_DIMS
+    sp.add_argument("--n", type=int, required=True, help=n_help)
     sp.add_argument(
         "--cycle", type=int, default=8, choices=(6, 8), help="forbidden cycle length"
     )
     common(sp)
 
     sp = sub.add_parser("random-test", help="seeded random extractor validation")
-    sp.add_argument("--n", type=int, required=True, help="cube dimension, 4..12")
+    sp.add_argument("--n", type=int, required=True, help="cube dimension, %d..%d" % _RANDOM_DIMS)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     common(sp)

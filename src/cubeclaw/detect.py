@@ -76,7 +76,7 @@ def induced_degree(s: VertexSet, v: int) -> int:
     """Number of neighbors of v inside s.  v must be a member."""
     if v not in s:
         raise ValueError(f"vertex {v} is not a member of the set")
-    return (neighbor_masks(s.dim)[v] & s.mask).bit_count()
+    return sum(s.mask >> (v ^ 1 << i) & 1 for i in range(s.dim))
 
 
 def claw_center(mask: int, among: int, dim: int) -> Optional[int]:

@@ -5,7 +5,11 @@ order (subsets in increasing-membership-mask order, composite universes
 in mixed-radix order over their parts) and folds the per-configuration
 pass/fail stream into a report.  Work is split across workers by
 contiguous ranges of the enumeration index and reassembled in order, so
-the report's digest is bit-identical for any worker count.
+the report's digest is bit-identical for any worker count.  Each check is
+one module-level generator, ``_<check>_chunk(params, start, stop)``, that
+yields ``(ok, counterexample, details)`` for each index in [start, stop);
+the runner is handed the generator itself, which a process pool pickles
+by name.
 
 The checks:
 
@@ -56,10 +60,16 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _iter_bits, _orbit, neighbor_masks
+from .hypercube import VertexSet, _iter_bits, _orbit, embed, neighbor_masks
 from .witness import find_witness_inductive, required_size, resolve_five_four
 
 COUNTEREXAMPLE_CAP = 16
+
+# Closed ranges (lo, hi) the checks accept, which the CLI help names too:
+# Q_4 subset sizes, random-test dimensions, claw+C8 extremal dimensions.
+_THEOREM_SIZES = (9, 16)
+_RANDOM_DIMS = (4, 12)
+_EXTREMAL_C8_DIMS = (1, 5)
 
 RANDOM_GENERATOR_NOTE = (
     "python random.Random (MT19937); trial i reseeded with the string "
@@ -170,151 +180,133 @@ def unrank_subset(index: int, size: int, universe: int) -> int:
     return mask
 
 
-def _spread(pmask: int, parity: int) -> int:
-    """Map a Q_3 position mask onto the Q_4 half with coordinate 1 = parity."""
-    out = 0
-    for p in _iter_bits(pmask):
-        out |= 1 << (2 * p + parity)
-    return out
+def _subsets(size: int, universe: int, start: int, stop: int):
+    """The ``size``-subsets of [0, universe) with indices in [start, stop)
+    of increasing-mask order: ``start`` is unranked once, then each next
+    mask is one ``gosper_next`` step."""
+    mask = unrank_subset(start, size, universe)
+    for _ in range(start, stop):
+        yield mask
+        mask = gosper_next(mask)
 
 
 # ---------------------------------------------------------------------------
-# per-configuration item functions (picklable, dispatched by name)
+# checks: one module-level (so picklable) chunk generator per check, which
+# yields (ok, counterexample, details) for each index in [start, stop)
 # ---------------------------------------------------------------------------
 
 _EVEN_HALF_Q4 = 0x5555
 _ODD_HALF_Q4 = 0xAAAA
 
 
-def _theorem_item(params, index, state):
+def _theorem_chunk(params, start, stop):
     size, symmetry_reduced = params
-    if state is None:
-        state = {"mask": unrank_subset(index, size, 16)}
-        if symmetry_reduced:
-            # seen: Q_4 mask -> 1 + its class's place in classes, 0 until
-            # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
-            # takes over 1 MB; no size has more than 56 classes, and a
-            # 256th would raise rather than wrap.
-            state["seen"] = bytearray(1 << 16)
-            state["classes"] = []  # (class key, witness verdict)
-    s = VertexSet(4, state["mask"])
-    details = None
     if symmetry_reduced:
-        # orbit marking: the first subset of a class met in this chunk
-        # scans its orbit once and marks every image; the least image is
-        # the class key.  A chunk starting mid-orbit rescans it itself.
-        seen = state["seen"]
-        classes = state["classes"]
-        if not seen[s.mask]:
-            orbit = _orbit(s)
-            canon = VertexSet(4, min(orbit))
-            w = find_theorem_witness(canon)
-            classes.append((canon.mask, w is not None and check_witness(w, canon)))
-            for img in orbit:
-                seen[img] = len(classes)
-        canon, ok = classes[seen[s.mask] - 1]
-        details = {"class_counts": {format(canon, "04X"): 1}}
-    else:
-        w = find_theorem_witness(s)
-        ok = w is not None and check_witness(w, s)
-    cex = None if ok else s.to_hex()
-    state["mask"] = gosper_next(state["mask"])
-    return ok, cex, details, state
+        # seen: Q_4 mask -> 1 + its class's place in classes, 0 until
+        # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
+        # takes over 1 MB; no size has more than 56 classes, and a 256th
+        # would raise rather than wrap.
+        seen = bytearray(1 << 16)
+        classes = []  # (class key, witness verdict)
+    for mask in _subsets(size, 16, start, stop):
+        s = VertexSet(4, mask)
+        details = None
+        if symmetry_reduced:
+            # orbit marking: the first subset of a class met in this chunk
+            # scans its orbit once and marks every image; the least image
+            # is the class key.  A chunk starting mid-orbit rescans it itself.
+            if not seen[mask]:
+                orbit = _orbit(s)
+                canon = VertexSet(4, min(orbit))
+                w = find_theorem_witness(canon)
+                classes.append((canon.mask, w is not None and check_witness(w, canon)))
+                for img in orbit:
+                    seen[img] = len(classes)
+            key, ok = classes[seen[mask] - 1]
+            details = {"class_counts": {format(key, "04X"): 1}}
+        else:
+            w = find_theorem_witness(s)
+            ok = w is not None and check_witness(w, s)
+        yield ok, None if ok else s.to_hex(), details
 
 
-def _proposition_item(params, index, state):
-    if state is None:
-        state = {"mask": unrank_subset(index, 6, 8)}
-    s = VertexSet(3, state["mask"])
-    claw = find_claw(s) is not None
-    cycle = find_induced_cycle(s, 6) is not None
-    ok = claw or cycle
-    key = (
-        "claw_and_cycle"
-        if claw and cycle
-        else "claw_only"
-        if claw
-        else "cycle_only"
-        if cycle
-        else "neither"
-    )
-    details = {key: 1}
-    if key == "cycle_only":
-        details["cycle_only_masks"] = [s.to_hex()]
-    cex = None if ok else s.to_hex()
-    state["mask"] = gosper_next(state["mask"])
-    return ok, cex, details, state
+def _proposition_chunk(params, start, stop):
+    for mask in _subsets(6, 8, start, stop):
+        s = VertexSet(3, mask)
+        claw = find_claw(s) is not None
+        cycle = find_induced_cycle(s, 6) is not None
+        ok = claw or cycle
+        key = (
+            "claw_and_cycle"
+            if claw and cycle
+            else "claw_only"
+            if claw
+            else "cycle_only"
+            if cycle
+            else "neither"
+        )
+        details = {key: 1}
+        if key == "cycle_only":
+            details["cycle_only_masks"] = [s.to_hex()]
+        yield ok, None if ok else s.to_hex(), details
 
 
-def _case1_item(params, index, state):
-    small = 1 << (2 * index + 1)
-    full = _EVEN_HALF_Q4 | small
+def _case1_chunk(params, start, stop):
     nbr = neighbor_masks(4)
-    ok = all(
-        (nbr[v] & full).bit_count() >= 3 for v in range(0, 16, 2)
-    )
-    cex = None if ok else VertexSet(4, full).to_hex()
-    return ok, cex, None, None
+    for index in range(start, stop):
+        full = _EVEN_HALF_Q4 | 1 << (2 * index + 1)
+        ok = all((nbr[v] & full).bit_count() >= 3 for v in range(0, 16, 2))
+        yield ok, None if ok else VertexSet(4, full).to_hex(), None
 
 
-def _case23_item(params, index, state):
+def _case23_chunk(params, start, stop):
     big_size = params[0]
     small_size = 9 - big_size
     n_small = math.comb(8, small_size)
-    i, j = divmod(index, n_small)
-    big = _spread(unrank_subset(i, big_size, 8), 0)
-    small = _spread(unrank_subset(j, small_size, 8), 1)
-    full = big | small
-    ok = claw_center(full, big, 4) is not None
-    subcube_ok = claw_center(big, big, 4) is not None
-    details = {"subcube_only_failures": 0 if subcube_ok else 1}
-    cex = None if ok else VertexSet(4, full).to_hex()
-    return ok, cex, details, None
+    for index in range(start, stop):
+        i, j = divmod(index, n_small)
+        big = embed(VertexSet(3, unrank_subset(i, big_size, 8)), 1, 0).mask
+        small = embed(VertexSet(3, unrank_subset(j, small_size, 8)), 1, 1).mask
+        full = big | small
+        ok = claw_center(full, big, 4) is not None
+        subcube_ok = claw_center(big, big, 4) is not None
+        details = {"subcube_only_failures": 0 if subcube_ok else 1}
+        yield ok, None if ok else VertexSet(4, full).to_hex(), details
 
 
-def _case4_structure_item(params, index, state):
-    big = _spread(unrank_subset(index, 5, 8), 0)
-    s = VertexSet(4, big)
-    is_p5 = classify_five_set(s).kind is FiveSetKind.PATH_P5
-    ok = (claw_center(big, big, 4) is None) == is_p5
-    details = {"p5_placements": 1 if is_p5 else 0}
-    cex = None if ok else s.to_hex()
-    return ok, cex, details, None
+def _case4_structure_chunk(params, start, stop):
+    for pmask in _subsets(5, 8, start, stop):
+        s = embed(VertexSet(3, pmask), 1, 0)
+        is_p5 = classify_five_set(s).kind is FiveSetKind.PATH_P5
+        ok = (claw_center(s.mask, s.mask, 4) is None) == is_p5
+        yield ok, None if ok else s.to_hex(), {"p5_placements": 1 if is_p5 else 0}
 
 
 def _admissible_choices(big_mask: int) -> list[int]:
     """4-subsets of the odd half avoiding partners of the path's internals."""
     shape = classify_five_set(VertexSet(4, big_mask))
-    partner_positions = {a >> 1 for a in shape.internal}
-    out = []
-    count = math.comb(8, 4)
-    pmask = unrank_subset(0, 4, 8)
-    for _ in range(count):
-        if not any((pmask >> p) & 1 for p in partner_positions):
-            out.append(_spread(pmask, 1))
-        pmask = gosper_next(pmask)
-    return out
+    partners = sum(1 << (a >> 1) for a in shape.internal)
+    return [
+        embed(VertexSet(3, pmask), 1, 1).mask
+        for pmask in _subsets(4, 8, 0, math.comb(8, 4))
+        if not pmask & partners
+    ]
 
 
-def _case4_admissible_item(params, index, state):
-    placements = params[0]
-    big = placements[index]
-    choices = _admissible_choices(big)
-    ok = len(choices) == 5
-    cex = None if ok else VertexSet(4, big).to_hex()
-    return ok, cex, {"admissible_counts": [len(choices)]}, None
+def _case4_admissible_chunk(params, start, stop):
+    for big in params[0][start:stop]:
+        count = len(_admissible_choices(big))
+        ok = count == 5
+        yield ok, None if ok else VertexSet(4, big).to_hex(), {"admissible_counts": [count]}
 
 
-def _case4_outcomes_item(params, index, state):
-    pairs = params[0]
-    placement_idx, big, small = pairs[index]
-    full = VertexSet(4, big | small)
-    resolved = resolve_five_four(full, VertexSet(4, small))
-    ok = resolved is not None
-    kind = "none" if resolved is None else "claw" if resolved[1] is None else "cycle"
-    details = {"outcome_kinds": [[placement_idx, kind]]}
-    cex = None if ok else full.to_hex()
-    return ok, cex, details, None
+def _case4_outcomes_chunk(params, start, stop):
+    for placement_idx, big, small in params[0][start:stop]:
+        full = VertexSet(4, big | small)
+        resolved = resolve_five_four(full, VertexSet(4, small))
+        ok = resolved is not None
+        kind = "none" if resolved is None else "claw" if resolved[1] is None else "cycle"
+        yield ok, None if ok else full.to_hex(), {"outcome_kinds": [[placement_idx, kind]]}
 
 
 def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
@@ -339,41 +331,31 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     return VertexSet.from_members(labels[:target], n)
 
 
-def _random_agreement_item(params, index, state):
+def _random_agreement_chunk(params, start, stop):
     n, seed = params
-    s = _trial_subset(n, seed, index)
-    try:
-        w, trace = find_witness_inductive(s)
-        sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
-        bound_ok = all(
-            sum(st.side_cardinalities) == prev and chosen >= (1 << (st.dim - 2)) + 1
-            for st, prev, chosen in zip(trace.steps, sizes, sizes[1:])
-        )
-        if not check_witness(w, s):
-            cause = "invalid_witness"
-        elif not bound_ok:
-            cause = "trace_bound"
-        elif n <= 5 and find_theorem_witness(s) is None:
-            cause = "direct_search"
+    for index in range(start, stop):
+        s = _trial_subset(n, seed, index)
+        try:
+            w, trace = find_witness_inductive(s)
+            sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
+            bound_ok = all(
+                sum(st.side_cardinalities) == prev and chosen >= (1 << (st.dim - 2)) + 1
+                for st, prev, chosen in zip(trace.steps, sizes, sizes[1:])
+            )
+            if not check_witness(w, s):
+                cause = "invalid_witness"
+            elif not bound_ok:
+                cause = "trace_bound"
+            elif n <= 5 and find_theorem_witness(s) is None:
+                cause = "direct_search"
+            else:
+                cause = None
+        except Exception as exc:
+            cause = type(exc).__name__
+        if cause is None:
+            yield True, None, None
         else:
-            cause = None
-    except Exception as exc:
-        cause = type(exc).__name__
-    if cause is None:
-        return True, None, None, None
-    return False, s.to_hex(), {"failure_causes": {cause: 1}}, None
-
-
-_ITEMS = {
-    "theorem": _theorem_item,
-    "proposition": _proposition_item,
-    "case1": _case1_item,
-    "case23": _case23_item,
-    "case4_structure": _case4_structure_item,
-    "case4_admissible": _case4_admissible_item,
-    "case4_outcomes": _case4_outcomes_item,
-    "random_agreement": _random_agreement_item,
-}
+            yield False, s.to_hex(), {"failure_causes": {cause: 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +377,12 @@ def _merge_details(acc: dict, extra: Optional[dict]) -> None:
             acc[key] = val
 
 
-def _run_chunk(item_name: str, params: tuple, start: int, stop: int):
-    item = _ITEMS[item_name]
+def _run_chunk(chunk, params: tuple, start: int, stop: int):
     outcomes = bytearray()
     passed = 0
     counterexamples: list[str] = []
     details: dict = {}
-    state = None
-    for index in range(start, stop):
-        ok, cex, extra, state = item(params, index, state)
+    for ok, cex, extra in chunk(params, start, stop):
         outcomes.append(49 if ok else 48)  # b"1" / b"0"
         if ok:
             passed += 1
@@ -426,19 +405,19 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_check(
-    check_name: str, item_name: str, params: tuple, total: int, workers: int
+    check_name: str, chunk, params: tuple, total: int, workers: int
 ) -> VerificationReport:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t0 = time.perf_counter()
     if workers == 1 or total <= 1:
-        chunks = [_run_chunk(item_name, params, 0, total)]
+        chunks = [_run_chunk(chunk, params, 0, total)]
     else:
         spans = _ranges(total, workers)
         processes = min(len(spans), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [
-                pool.submit(_run_chunk, item_name, params, lo, hi) for lo, hi in spans
+                pool.submit(_run_chunk, chunk, params, lo, hi) for lo, hi in spans
             ]
             chunks = [f.result() for f in futures]
     stream = b"".join(c[0] for c in chunks)
@@ -483,12 +462,12 @@ def verify_theorem_exhaustive(
     """
     if n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
-    if not 9 <= size <= 16:
-        raise ValueError(f"size must be in [9, 16], got {size}")
+    lo, hi = _THEOREM_SIZES
+    if not lo <= size <= hi:
+        raise ValueError(f"size must be in {lo}..{hi}, got {size}")
     total = math.comb(16, size)
-    report = _run_check(
-        f"theorem-exhaustive-n4-size{size}", "theorem", (size, symmetry_reduced), total, workers
-    )
+    name = f"theorem-exhaustive-n4-size{size}"
+    report = _run_check(name, _theorem_chunk, (size, symmetry_reduced), total, workers)
     if symmetry_reduced:
         class_counts = report.details.pop("class_counts", {})
         report.details["distinct_classes"] = len(class_counts)
@@ -500,7 +479,7 @@ def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
     """Check all 28 six-vertex subsets of Q_3 for a claw or induced 6-cycle,
     classifying which condition fired for each."""
     total = math.comb(8, 6)
-    report = _run_check("proposition-exhaustive-q3-size6", "proposition", (), total, workers)
+    report = _run_check("proposition-exhaustive-q3-size6", _proposition_chunk, (), total, workers)
     for key in ("claw_and_cycle", "claw_only", "cycle_only", "neither"):
         report.details.setdefault(key, 0)
     report.details.setdefault("cycle_only_masks", [])
@@ -508,15 +487,8 @@ def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
 
 
 def _p5_placements() -> tuple[int, ...]:
-    out = []
-    pmask = unrank_subset(0, 5, 8)
-    for _ in range(math.comb(8, 5)):
-        big = _spread(pmask, 0)
-        shape = classify_five_set(VertexSet(4, big))
-        if shape.kind is FiveSetKind.PATH_P5:
-            out.append(big)
-        pmask = gosper_next(pmask)
-    return tuple(out)
+    halves = (embed(VertexSet(3, pmask), 1, 0) for pmask in _subsets(5, 8, 0, math.comb(8, 5)))
+    return tuple(s.mask for s in halves if classify_five_set(s).kind is FiveSetKind.PATH_P5)
 
 
 def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[VerificationReport]:
@@ -530,39 +502,31 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
     reports: list[VerificationReport] = []
 
     if case in (1, "all"):
-        reports.append(_run_check("case1-full-half-claw-centers", "case1", (), 8, workers))
+        reports.append(_run_check("case1-full-half-claw-centers", _case1_chunk, (), 8, workers))
 
     if case in (2, "all"):
-        r = _run_check("case2-split-7-2-claw-center", "case23", (7,), 8 * 28, workers)
+        r = _run_check("case2-split-7-2-claw-center", _case23_chunk, (7,), 8 * 28, workers)
         reports.append(r)
 
     if case in (3, "all"):
-        r = _run_check("case3-split-6-3-claw-center", "case23", (6,), 28 * 56, workers)
+        r = _run_check("case3-split-6-3-claw-center", _case23_chunk, (6,), 28 * 56, workers)
         reports.append(r)
 
     if case in (4, "all"):
-        r1 = _run_check(
-            "case4-max-degree-2-is-path", "case4_structure", (), math.comb(8, 5), workers
-        )
-        reports.append(r1)
+        name = "case4-max-degree-2-is-path"
+        reports.append(_run_check(name, _case4_structure_chunk, (), math.comb(8, 5), workers))
 
         placements = _p5_placements()
-        r2 = _run_check(
-            "case4-admissible-choice-count",
-            "case4_admissible",
-            (placements,),
-            len(placements),
-            workers,
-        )
+        name = "case4-admissible-choice-count"
+        r2 = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
         reports.append(r2)
 
         pairs = []
         for idx, big in enumerate(placements):
             for small in _admissible_choices(big):
                 pairs.append((idx, big, small))
-        r3 = _run_check(
-            "case4-claw-or-cycle-outcomes", "case4_outcomes", (tuple(pairs),), len(pairs), workers
-        )
+        name = "case4-claw-or-cycle-outcomes"
+        r3 = _run_check(name, _case4_outcomes_chunk, (tuple(pairs),), len(pairs), workers)
         splits: dict[int, list[int]] = {}
         for placement_idx, kind in r3.details.pop("outcome_kinds", []):
             claws_cycles = splits.setdefault(placement_idx, [0, 0])
@@ -625,13 +589,14 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     inequality at every level.  For n <= 5 existence is also
     cross-checked against direct search.
     """
-    if not 4 <= n <= 12:
-        raise ValueError(f"random agreement test supports 4 <= n <= 12, got {n}")
+    lo, hi = _RANDOM_DIMS
+    if not lo <= n <= hi:
+        raise ValueError(f"random agreement test supports n in {lo}..{hi}, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = _run_check(
         f"random-agreement-n{n}-trials{trials}-seed{seed}",
-        "random_agreement",
+        _random_agreement_chunk,
         (n, seed),
         trials,
         workers,
@@ -684,11 +649,12 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     n = 5 maximum rests on f(4) = 8, itself found exhaustively under the
     cap f(3) = 6.
 
-    Supported ranges: n <= 5 with C8 forbidden, n = 3 with C6 forbidden.
+    Supported ranges: n in 1..5 with C8 forbidden, n = 3 with C6 forbidden.
     """
     normalized, k = _parse_forbidden(forbidden)
-    if k == 8 and not 1 <= n <= 5:
-        raise ValueError(f"claw+C8 search supports n <= 5, got {n}")
+    lo, hi = _EXTREMAL_C8_DIMS
+    if k == 8 and not lo <= n <= hi:
+        raise ValueError(f"claw+C8 search supports n in {lo}..{hi}, got {n}")
     if k == 6 and n != 3:
         raise ValueError(f"claw+C6 search supports n = 3 only, got {n}")
     return replace(_max_free(n, k), forbidden=normalized)

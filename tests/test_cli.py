@@ -305,6 +305,32 @@ def test_cli_random_test_out_of_range(capsys):
     assert code == 2
 
 
+def test_cli_case_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cases", "--case", "abc"])
+    assert exc.value.code == 2
+    assert "{1,2,3,4,all}" in capsys.readouterr().err
+    args = build_parser().parse_args(["verify-cases", "--case", "3"])
+    assert config_from_args(args).case == "3"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, span",
+    [
+        (["verify-theorem", "--size"], "17", "9..16"),
+        (["extremal", "--n"], "6", "1..5"),
+        (["random-test", "--n"], "13", "4..12"),
+    ],
+)
+def test_cli_help_and_library_name_the_same_range(capsys, argv, bad, span):
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert span in capsys.readouterr().out
+    code, _, err = run_cli(capsys, *argv, bad)
+    assert code == 2
+    assert f"{span}, got {bad}" in err
+
+
 def test_cli_workers_validation(capsys):
     code, _, err = run_cli(capsys, "verify-proposition", "--workers", "0")
     assert code == 2

@@ -43,6 +43,18 @@ def test_induced_degree_examples():
         induced_degree(C6_SET, 0)
 
 
+def test_induced_degree_reads_the_mask_without_a_neighbor_table(monkeypatch):
+    def no_table(dim):
+        raise AssertionError(f"neighbor_masks({dim}) built")
+
+    monkeypatch.setattr("cubeclaw.detect.neighbor_masks", no_table)
+    n = 20
+    rng = random.Random(20)
+    s = VertexSet(n, rng.getrandbits(1 << n))
+    for v in rng.sample(s.members(), 50):
+        assert induced_degree(s, v) == sum((v ^ 1 << i) in s for i in range(n))
+
+
 def test_find_claw_examples():
     assert find_claw(VertexSet.full(3)) == Claw(0, (1, 2, 4))
     assert find_claw(C6_SET) is None

@@ -19,6 +19,7 @@ from cubeclaw.hypercube import (
 )
 from cubeclaw.verify import (
     _run_chunk,
+    _theorem_chunk,
     extremal_search,
     gosper_next,
     unrank_subset,
@@ -102,7 +103,7 @@ def test_symmetry_reduced_split_across_two_workers(monkeypatch):
 
 def test_mid_orbit_chunk_keys_are_canonical_forms():
     start, stop = math.comb(16, 9) // 2, math.comb(16, 9) // 2 + 60
-    _, passed, _, details = _run_chunk("theorem", (9, True), start, stop)
+    _, passed, _, details = _run_chunk(_theorem_chunk, (9, True), start, stop)
     assert passed == stop - start
     mask = unrank_subset(start, 9, 16)
     expected = Counter()

@@ -137,3 +137,13 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     InlinePool.requested = []
     verify_proposition_exhaustive(workers=3)
     assert InlinePool.requested == [3]
+
+
+def test_proposition_report_is_worker_invariant(monkeypatch):
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    serial = verify_proposition_exhaustive(workers=1)
+    assert serial.details["cycle_only_masks"]
+    for k in (2, 3, 5):
+        split = verify_proposition_exhaustive(workers=k)
+        assert split.deterministic_digest == serial.deterministic_digest
+        assert split.details == serial.details

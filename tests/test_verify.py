@@ -15,6 +15,7 @@ from cubeclaw.verify import (
     analyze_case_four_placement,
     extremal_search,
     gosper_next,
+    _subsets,
     _trial_subset,
     random_agreement_test,
     unrank_subset,
@@ -27,10 +28,14 @@ from oracles import binomial, claw_exists, induces_cycle, shuffle_prefix
 
 def test_unranking_matches_gosper_enumeration():
     for universe, size in ((8, 3), (8, 6), (10, 5)):
-        mask = unrank_subset(0, size, universe)
-        for index in range(math.comb(universe, size)):
-            assert unrank_subset(index, size, universe) == mask
-            mask = gosper_next(mask)
+        total = math.comb(universe, size)
+        gosper = [unrank_subset(0, size, universe)]
+        for index in range(total):
+            assert unrank_subset(index, size, universe) == gosper[-1]
+            gosper.append(gosper_next(gosper[-1]))
+        a, b = total // 3, 2 * total // 3
+        chunks = [list(_subsets(size, universe, lo, hi)) for lo, hi in ((0, a), (a, b), (b, total))]
+        assert sum(chunks, []) == gosper[:total]
     assert unrank_subset(0, 9, 16) == (1 << 9) - 1
     assert unrank_subset(math.comb(16, 9) - 1, 9, 16) == 0b1111111110000000
     with pytest.raises(ValueError):
@@ -266,18 +271,18 @@ def test_monotonicity_harness():
         assert check_witness(w, superset)
 
 
-def test_runner_failure_reporting(monkeypatch):
+def test_runner_failure_reporting():
     # synthetic check: indices divisible by 3 fail; exercises the
     # counterexample cap and first-failure ordering, which the real
     # checks never reach
     import cubeclaw.verify as verify_mod
 
-    def flaky_item(params, index, state):
-        ok = index % 3 != 0
-        return ok, None if ok else f"{index:04X}", None, None
+    def flaky_chunk(params, start, stop):
+        for index in range(start, stop):
+            ok = index % 3 != 0
+            yield ok, None if ok else f"{index:04X}", None
 
-    monkeypatch.setitem(verify_mod._ITEMS, "flaky", flaky_item)
-    report = verify_mod._run_check("flaky-check", "flaky", (), 100, workers=1)
+    report = verify_mod._run_check("flaky-check", flaky_chunk, (), 100, workers=1)
     assert report.universe_size == 100
     assert report.passed + report.failed == 100
     assert report.failed == 34
