@@ -34,6 +34,7 @@ from .detect import check_witness, find_theorem_witness, witness_to_text
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
 from .hypercube import VertexSet, check_dim, hex_width, set_from_hex
 from .verify import (
+    _BRUTEFORCE_DIMS,
     _EXTREMAL_C8_DIMS,
     _RANDOM_DIMS,
     _THEOREM_SIZES,
@@ -63,10 +64,6 @@ class RunConfig:
     format: str = "table"
     symmetry_reduced: bool = False
 
-
-_BRUTEFORCE_MAX_DIM = 12
-"""Largest n for ``witness --method bruteforce``: it builds the 4^n/8-byte
-``neighbor_masks(n)`` table, 2 MB at n = 12 and 512 MB at n = 16."""
 
 _LINE_BLOCK = 1 << 16
 """Characters of input read and split into lines at a time by ``_lines``."""
@@ -238,10 +235,9 @@ def run(config: RunConfig) -> int:
         return _finish_reports(config, verify_case_claims(case, config.workers))
 
     if config.command == "witness":
-        if config.method == "bruteforce" and config.n > _BRUTEFORCE_MAX_DIM:
-            raise ValueError(
-                f"--method bruteforce supports n in 1..{_BRUTEFORCE_MAX_DIM}, got {config.n}"
-            )
+        lo, hi = _BRUTEFORCE_DIMS
+        if config.method == "bruteforce" and not lo <= config.n <= hi:
+            raise ValueError(f"--method bruteforce supports n in {lo}..{hi}, got {config.n}")
         s = _load_set(config)
         case = None
         trace = None
@@ -350,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("inductive", "bruteforce", "structured"),
         default="inductive",
         help=(
-            f"inductive descent (default), direct search (n in 1..{_BRUTEFORCE_MAX_DIM}),"
-            " or case dispatch"
+            "inductive descent (default), direct search (n in %d..%d),"
+            " or case dispatch" % _BRUTEFORCE_DIMS
         ),
     )
     common(sp)

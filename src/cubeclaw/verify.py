@@ -61,15 +61,24 @@ from .detect import (
 )
 from .errors import TheoremViolationError
 from .hypercube import VertexSet, _iter_bits, _orbit, embed, neighbor_masks
-from .witness import find_witness_inductive, required_size, resolve_five_four
+from .witness import (
+    _EVEN_HALF_Q4,
+    _ODD_HALF_Q4,
+    find_witness_inductive,
+    required_size,
+    resolve_five_four,
+)
 
 COUNTEREXAMPLE_CAP = 16
 
 # Closed ranges (lo, hi) the checks accept, which the CLI help names too:
-# Q_4 subset sizes, random-test dimensions, claw+C8 extremal dimensions.
+# Q_4 subset sizes, random-test dimensions, claw+C8 extremal dimensions,
+# and the dimensions of ``witness --method bruteforce``, which builds the
+# 4^n/8-byte ``neighbor_masks(n)`` table (2 MB at n = 12, 512 MB at 16).
 _THEOREM_SIZES = (9, 16)
 _RANDOM_DIMS = (4, 12)
 _EXTREMAL_C8_DIMS = (1, 5)
+_BRUTEFORCE_DIMS = (1, 12)
 
 RANDOM_GENERATOR_NOTE = (
     "python random.Random (MT19937); trial i reseeded with the string "
@@ -194,10 +203,6 @@ def _subsets(size: int, universe: int, start: int, stop: int):
 # checks: one module-level (so picklable) chunk generator per check, which
 # yields (ok, counterexample, details) for each index in [start, stop)
 # ---------------------------------------------------------------------------
-
-_EVEN_HALF_Q4 = 0x5555
-_ODD_HALF_Q4 = 0xAAAA
-
 
 def _theorem_chunk(params, start, stop):
     size, symmetry_reduced = params

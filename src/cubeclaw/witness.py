@@ -15,9 +15,10 @@ up through the splits.
 
 A second, structured solver replays the dimension-4 case analysis
 literally, dispatching on how the nine vertices fall across the two
-subcube halves.  It exists for cross-checking the case analysis, not as
-the production path, and is validated against brute force on all 11440
-nine-vertex subsets.  Its last step, ``resolve_five_four``, is the one
+subcube halves, each read as a coordinate-1 mask of Q_4 with no
+split/embed round trip.  It exists for cross-checking the case analysis,
+not as the production path, and is validated against brute force on all
+11440 nine-vertex subsets.  Its last step, ``resolve_five_four``, is the one
 implementation of the (5,4)-split resolution; :mod:`cubeclaw.verify`
 checks the case claims through it.  Claw-centers are found and claws
 built only by ``detect.claw_center`` and ``detect.claw_at``.
@@ -41,7 +42,11 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import InsufficientCardinalityError, TheoremViolationError
-from .hypercube import VertexSet, embed, embed_vertex, split
+from .hypercube import VertexSet, embed_vertex, split
+
+# The coordinate-1 halves of Q_4 (coordinate 1 = 0, = 1) as Q_4 masks.
+_EVEN_HALF_Q4 = 0x5555
+_ODD_HALF_Q4 = 0xAAAA
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,10 @@ def resolve_five_four(
 def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     """Witness for a nine-vertex Q_4 subset by explicit case dispatch.
 
-    Splits on coordinate 1 and orders the halves so the larger comes
-    first; the case number is determined by the cardinality split:
-    (8,1) -> 1, (7,2) -> 2, (6,3) -> 3, (5,4) -> 4.
+    Reads the two coordinate-1 halves as Q_4 masks (no split/embed round
+    trip) and orders them so the larger comes first; the case number is
+    determined by the cardinality split: (8,1) -> 1, (7,2) -> 2,
+    (6,3) -> 3, (5,4) -> 4.
 
     Cases 1-3 find a claw-center inside the larger half, counting
     degrees in the whole set (the cross edge into the smaller half
@@ -174,30 +180,29 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     if len(s) != 9:
         raise ValueError(f"structured solver requires exactly 9 vertices, got {len(s)}")
 
-    side0, side1 = split(s, 1)
-    if len(side0) >= len(side1):
-        big_bit, big, small = 0, side0, side1
-    else:
-        big_bit, big, small = 1, side1, side0
-    big_amb = embed(big, 1, big_bit)
-    case = {8: 1, 7: 2, 6: 3, 5: 4}[len(big)]
+    side0 = s.mask & _EVEN_HALF_Q4
+    side1 = s.mask & _ODD_HALF_Q4
+    big, small = (side0, side1) if side0.bit_count() >= side1.bit_count() else (side1, side0)
+    size = big.bit_count()
+    case = {8: 1, 7: 2, 6: 3, 5: 4}[size]
 
     if case in (1, 2, 3):
-        center = claw_center(s.mask, big_amb.mask, s.dim)
+        center = claw_center(s.mask, big, 4)
         if center is not None:
             return claw_at(s, center), case
         raise TheoremViolationError(
-            f"no claw-center in the larger half of a ({len(big)},{len(small)}) split",
+            f"no claw-center in the larger half of a ({size},{9 - size}) split",
             s.dim,
             s.mask,
         )
 
     # case 4: (5,4) split
-    claw = find_claw(big_amb)
+    big_set = VertexSet(4, big)
+    claw = find_claw(big_set)
     if claw is not None:
         return claw, case
 
-    shape = classify_five_set(big_amb)
+    shape = classify_five_set(big_set)
     if shape.kind is not FiveSetKind.PATH_P5:
         raise TheoremViolationError(
             f"max-degree-2 five-vertex half is not a path ({shape.kind.value})",
@@ -208,7 +213,7 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
         if (a ^ 1) in s:
             return claw_at(s, a), case
 
-    resolved = resolve_five_four(s, embed(small, 1, 1 - big_bit))
+    resolved = resolve_five_four(s, VertexSet(4, small))
     if resolved is None:
         raise TheoremViolationError(
             "no claw-center and no cycle-leaving vertex in a (5,4) split", s.dim, s.mask

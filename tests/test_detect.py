@@ -1,7 +1,8 @@
 """Claw / induced-cycle detection and the five-set classifier."""
 
+import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +19,13 @@ from cubeclaw.detect import (
     witness_to_text,
 )
 from cubeclaw.hypercube import VertexSet, adjacent
-from oracles import claw_exists, classify_five, induced_cycle_exists, path_order_of_p5
+from oracles import (
+    claw_exists,
+    classify_five,
+    induced_cycle_exists,
+    naive_adjacent,
+    path_order_of_p5,
+)
 
 C6_SET = VertexSet.from_members([1, 2, 3, 4, 5, 6], 3)
 EVEN_WEIGHT_Q4 = VertexSet.from_members(
@@ -212,6 +219,49 @@ def test_check_witness_accepts_and_rejects():
     assert not check_witness(InducedCycle((0, 1, 3)), q3)  # odd length
     assert not check_witness("claw", q3)  # not a witness at all
     assert not check_witness(Claw(0, (1, 2, 16)), VertexSet.full(4))  # out of range
+
+
+def reference_claw_check(w, members, dim):
+    """Label-level claw validation against a member collection: member
+    labels, one differing bit per center-leaf pair and at least two per
+    leaf pair."""
+    if not isinstance(w.leaves, tuple) or len(w.leaves) != 3:
+        return False
+    vs = (w.center, *w.leaves)
+    for v in vs:
+        if not isinstance(v, int) or v not in members:
+            return False
+    if len(set(vs)) != 4:
+        return False
+    x, a, b, c = vs
+    return all(naive_adjacent(x, leaf, dim) for leaf in (a, b, c)) and not any(
+        naive_adjacent(u, v, dim) for u, v in combinations((a, b, c), 2)
+    )
+
+
+@pytest.mark.parametrize("mask", [0xFFFF, 0x5557])
+def test_check_witness_claw_matches_label_reference(mask):
+    s = VertexSet(4, mask)
+    members = frozenset(s.members())
+    labels = range(-1, 17)  # both out-of-range neighbours of 0..15 included
+    accepted = 0
+    for x in labels:
+        for leaves in product(labels, repeat=3):
+            w = Claw(x, leaves)
+            ok = check_witness(w, s)
+            assert ok is reference_claw_check(w, members, 4), w
+            accepted += ok
+    assert accepted == sum(
+        6 * math.comb(induced_degree(s, v), 3) for v in s.members()
+    )  # every ordered leaf triple at every center
+
+    # around the valid claw 0 | 1 2 4: a list, wrong arities, odd vertex types
+    malformed = [Claw(0, [1, 2, 4]), Claw(0, (1, 2)), Claw(0, (1, 2, 4, 8)), Claw(0, ())]
+    for bad in ("0", 0.0, 1.0, None, True, -1, 16):
+        malformed += [Claw(bad, (1, 2, 4)), Claw(0, (bad, 2, 4)), Claw(0, (1, bad, 4))]
+        malformed.append(Claw(0, (1, 2, bad)))
+    for w in malformed:
+        assert check_witness(w, s) is reference_claw_check(w, members, 4), w
 
 
 def test_witness_text_forms():

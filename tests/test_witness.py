@@ -1,5 +1,6 @@
 """Inductive extraction and the dimension-4 structured solver."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -232,6 +233,22 @@ def test_structured_agrees_with_brute_force_on_random_nine_subsets():
         assert case in (1, 2, 3, 4)
         assert check_witness(w1, s)
         assert check_witness(base_case_solve(s), s)
+
+
+def test_structured_output_is_pinned_on_all_nine_subsets():
+    # the seed commit's witnesses and cases, hashed in increasing-mask order
+    digest = hashlib.sha256()
+    case_counts = [0, 0, 0, 0]
+    masks = [m for m in range(1 << 16) if m.bit_count() == 9]
+    for mask in masks:
+        w, case = base_case_solve_structured(VertexSet(4, mask))
+        digest.update(f"{w!r} {case}\n".encode())
+        case_counts[case - 1] += 1
+    assert len(masks) == 11440
+    assert case_counts == [16, 448, 3136, 7840]
+    assert digest.hexdigest() == (
+        "dd5bc9c688a6561406b6f34a1214292093409c2df676e581c38a6d22bddc8e2d"
+    )
 
 
 def test_deterministic_outputs():
