@@ -243,7 +243,8 @@ def check_witness(w: Witness, s: VertexSet) -> bool:
         vs = w.vertices
         if not isinstance(vs, tuple) or len(vs) < 4 or len(vs) % 2 != 0:
             return False
-        if len(set(vs)) != len(vs) or not all(ok_vertex(v) for v in vs):
+        # vertex checks first: a malformed vertex may be unhashable
+        if not all(ok_vertex(v) for v in vs) or len(set(vs)) != len(vs):
             return False
         k = len(vs)
         # adjacent exactly when consecutive modulo k

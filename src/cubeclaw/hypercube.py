@@ -244,13 +244,16 @@ def set_from_hex(text: str, dim: int) -> VertexSet:
     return VertexSet(dim, int(token, 16))
 
 
-_BLOCK_MASK_CACHE = 8
-"""Masks kept by ``_block_mask``: the four a dimension-4 split needs,
-with room to spare, yet at most 16 MB of masks at dimension 24."""
+_BLOCK_MASK_CACHE_BITS = 1 << 16
+"""Widest mask ``_block_mask`` keeps.  Every mask up to 2^16 bits wide
+stays cached once built, about 260 KB for all of them, so a descent from
+dimension 16 or less builds no mask twice.  Wider masks are built on
+each call: caching those too would hold about 117 MB at dimension 24."""
+
+_block_masks: dict[tuple[int, int], int] = {}
 
 
-@lru_cache(maxsize=_BLOCK_MASK_CACHE)
-def _block_mask(nbits: int, block: int) -> int:
+def _build_block_mask(nbits: int, block: int) -> int:
     """The ``nbits``-bit mask whose ``block``-bit blocks are alternately
     all ones and all zeros, ones first.  Both are powers of two and
     ``2 * block <= nbits``."""
@@ -259,6 +262,17 @@ def _block_mask(nbits: int, block: int) -> int:
     while width < nbits:
         mask |= mask << width
         width *= 2
+    return mask
+
+
+def _block_mask(nbits: int, block: int) -> int:
+    """``_build_block_mask(nbits, block)``, cached up to
+    ``_BLOCK_MASK_CACHE_BITS`` bits."""
+    mask = _block_masks.get((nbits, block))
+    if mask is None:
+        mask = _build_block_mask(nbits, block)
+        if nbits <= _BLOCK_MASK_CACHE_BITS:
+            _block_masks[nbits, block] = mask
     return mask
 
 

@@ -60,9 +60,10 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _iter_bits, _orbit, embed, neighbor_masks
+from .hypercube import VertexSet, _iter_bits, _orbit, neighbor_masks
 from .witness import (
     _EVEN_HALF_Q4,
+    _EVEN_HALF_SPREAD,
     _ODD_HALF_Q4,
     find_witness_inductive,
     required_size,
@@ -270,8 +271,8 @@ def _case23_chunk(params, start, stop):
     n_small = math.comb(8, small_size)
     for index in range(start, stop):
         i, j = divmod(index, n_small)
-        big = embed(VertexSet(3, unrank_subset(i, big_size, 8)), 1, 0).mask
-        small = embed(VertexSet(3, unrank_subset(j, small_size, 8)), 1, 1).mask
+        big = _EVEN_HALF_SPREAD[unrank_subset(i, big_size, 8)]
+        small = _EVEN_HALF_SPREAD[unrank_subset(j, small_size, 8)] << 1
         full = big | small
         ok = claw_center(full, big, 4) is not None
         subcube_ok = claw_center(big, big, 4) is not None
@@ -281,7 +282,7 @@ def _case23_chunk(params, start, stop):
 
 def _case4_structure_chunk(params, start, stop):
     for pmask in _subsets(5, 8, start, stop):
-        s = embed(VertexSet(3, pmask), 1, 0)
+        s = VertexSet(4, _EVEN_HALF_SPREAD[pmask])
         is_p5 = classify_five_set(s).kind is FiveSetKind.PATH_P5
         ok = (claw_center(s.mask, s.mask, 4) is None) == is_p5
         yield ok, None if ok else s.to_hex(), {"p5_placements": 1 if is_p5 else 0}
@@ -292,7 +293,7 @@ def _admissible_choices(big_mask: int) -> list[int]:
     shape = classify_five_set(VertexSet(4, big_mask))
     partners = sum(1 << (a >> 1) for a in shape.internal)
     return [
-        embed(VertexSet(3, pmask), 1, 1).mask
+        _EVEN_HALF_SPREAD[pmask] << 1
         for pmask in _subsets(4, 8, 0, math.comb(8, 4))
         if not pmask & partners
     ]
@@ -323,6 +324,12 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     the prefix length: every later swap stays inside the prefix.  Each
     index is the draw ``Random.shuffle`` makes through ``_randbelow``:
     ``k`` bits, redrawn while the value exceeds ``i``.
+
+    The mask is parsed, with ``int(..., 2)``, from a reversed buffer of
+    2^n bytes, one per label: ``b"1"`` for a prefix label, ``b"0"`` for
+    every label past the prefix.  The labels are a permutation of
+    ``range(2^n)``, so no member needs the range checks of
+    ``VertexSet.from_members``.
     """
     getrandbits = random.Random(f"{seed}:{index}").getrandbits
     labels = list(range(1 << n))
@@ -333,7 +340,10 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
         while j > i:
             j = getrandbits(k)
         labels[i], labels[j] = labels[j], labels[i]
-    return VertexSet.from_members(labels[:target], n)
+    bits = bytearray(b"1") * (1 << n)
+    for v in labels[target:]:
+        bits[v] = 48  # b"0"
+    return VertexSet(n, int(bits[::-1], 2))
 
 
 def _random_agreement_chunk(params, start, stop):
@@ -492,7 +502,7 @@ def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
 
 
 def _p5_placements() -> tuple[int, ...]:
-    halves = (embed(VertexSet(3, pmask), 1, 0) for pmask in _subsets(5, 8, 0, math.comb(8, 5)))
+    halves = (VertexSet(4, _EVEN_HALF_SPREAD[p]) for p in _subsets(5, 8, 0, math.comb(8, 5)))
     return tuple(s.mask for s in halves if classify_five_set(s).kind is FiveSetKind.PATH_P5)
 
 
@@ -589,10 +599,12 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     (``_trial_subset``).  The shuffle's top-down Fisher-Yates swaps stop
     once the prefix is final: the swaps still to come would only reorder
     the prefix, so it holds the same labels as after a full
-    ``Random.shuffle``, and a test pins that equality.  The extracted
-    witness must validate and the trace must satisfy the half-plus-one
-    inequality at every level.  For n <= 5 existence is also
-    cross-checked against direct search.
+    ``Random.shuffle``, and a test pins that equality.  The prefix is
+    turned into a mask through a byte buffer, with no per-member range
+    check, since the labels are a permutation of ``range(2^n)``.  The
+    extracted witness must validate and the trace must satisfy the
+    half-plus-one inequality at every level.  For n <= 5 existence is
+    also cross-checked against direct search.
     """
     lo, hi = _RANDOM_DIMS
     if not lo <= n <= hi:

@@ -10,8 +10,8 @@ into the two Q_{n-1} halves, descend into a half that still holds more
 than half of its subcube (the pigeonhole guarantees one does), and at
 dimension 4 fall back on brute-force search, which exhaustive
 certification (see :mod:`cubeclaw.verify`) has shown can never fail on
-nine or more vertices.  The witness found downstairs is relabeled back
-up through the splits.
+nine or more vertices.  Only the chosen half is ever built, and the
+witness found downstairs is relabeled back up in one step.
 
 A second, structured solver replays the dimension-4 case analysis
 literally, dispatching on how the nine vertices fall across the two
@@ -42,11 +42,14 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import InsufficientCardinalityError, TheoremViolationError
-from .hypercube import VertexSet, embed_vertex, split
+from .hypercube import VertexSet, _block_mask, _compress, _iter_bits
 
 # The coordinate-1 halves of Q_4 (coordinate 1 = 0, = 1) as Q_4 masks.
 _EVEN_HALF_Q4 = 0x5555
 _ODD_HALF_Q4 = 0xAAAA
+# _EVEN_HALF_SPREAD[p]: the Q_3 mask p placed on the coordinate-1 = 0 half
+# of Q_4, embed(VertexSet(3, p), 1, 0).mask; shifted left by b, on half b.
+_EVEN_HALF_SPREAD = tuple(sum(1 << 2 * v for v in _iter_bits(p)) for p in range(256))
 
 
 @dataclass(frozen=True)
@@ -98,26 +101,36 @@ def find_witness_inductive(s: VertexSet) -> tuple[Witness, ExtractionTrace]:
     coordinate 1 at every level, preferring the larger side (ties to
     side 0), and solves dimension 4 by brute force.  The returned trace
     records the cardinalities at every level.
+
+    Each level reads side 0's count as a popcount of the mask under the
+    coordinate-1 = 0 block mask, takes side 1's as the rest, and
+    compresses only the chosen side, through the same block compress as
+    ``split``.  Every split deletes bit 0 of the label, so a base vertex
+    v is the Q_n vertex ``v << L | sides`` after L levels, where bit i of
+    ``sides`` is the side chosen at level i.
     """
     if s.dim < 4:
         raise ValueError(f"extraction requires dimension >= 4, got {s.dim}")
     need = required_size(s.dim)
-    if len(s) < need:
-        raise InsufficientCardinalityError(need, len(s), s.dim)
+    count = len(s)
+    if count < need:
+        raise InsufficientCardinalityError(need, count, s.dim)
 
     steps: list[SplitStep] = []
-    current = s
-    while current.dim > 4:
-        side0, side1 = split(current, 1)
-        chosen = 0 if len(side0) >= len(side1) else 1
-        steps.append(
-            SplitStep(current.dim, 1, chosen, (len(side0), len(side1)))
-        )
-        current = side0 if chosen == 0 else side1
+    mask, sides = s.mask, 0
+    for dim in range(s.dim, 4, -1):
+        nbits = 1 << dim
+        side0 = (mask & _block_mask(nbits, 1)).bit_count()
+        side1 = count - side0
+        chosen = 0 if side0 >= side1 else 1
+        steps.append(SplitStep(dim, 1, chosen, (side0, side1)))
+        mask = _compress(mask >> chosen, nbits, 1)
+        count = side1 if chosen else side0
+        sides |= chosen << (s.dim - dim)
 
-    w = base_case_solve(current)
-    for st in reversed(steps):
-        w = _map_witness(w, lambda v: embed_vertex(v, 1, st.chosen_side))
+    w = base_case_solve(VertexSet(4, mask))
+    levels = len(steps)
+    w = _map_witness(w, lambda v: v << levels | sides)
     return w, ExtractionTrace(tuple(steps), "brute-force")
 
 

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from cubeclaw import hypercube
 from cubeclaw.cli import main
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
@@ -16,11 +17,17 @@ from cubeclaw.hypercube import (
     DIM_CAP,
     VertexSet,
     embed,
+    embed_vertex,
     set_from_hex,
     split,
     vertex_from_text,
 )
-from cubeclaw.witness import find_witness_inductive, required_size
+from cubeclaw.witness import (
+    _EVEN_HALF_SPREAD,
+    base_case_solve,
+    find_witness_inductive,
+    required_size,
+)
 from oracles import induces_cycle, induced_edges, naive_adjacent
 
 
@@ -182,6 +189,95 @@ def seeded_dense_set(n, seed):
             buf[byte] |= bit
             count += 1
     return VertexSet(n, int.from_bytes(buf, "little"))
+
+
+def reference_descent(s):
+    """The descent spelled out with the public bit layer: ``split`` on
+    coordinate 1 at every level, keep the larger side (ties to side 0),
+    solve Q_4 by brute force, then ``embed_vertex`` the witness back up
+    one level at a time."""
+    steps = []
+    current = s
+    while current.dim > 4:
+        sides = split(current, 1)
+        chosen = 0 if len(sides[0]) >= len(sides[1]) else 1
+        steps.append(
+            {
+                "dim": current.dim,
+                "split_coord": 1,
+                "chosen_side": chosen,
+                "side_cardinalities": [len(sides[0]), len(sides[1])],
+            }
+        )
+        current = sides[chosen]
+    w = base_case_solve(current)
+    for step in reversed(steps):
+        bit = step["chosen_side"]
+        if isinstance(w, Claw):
+            leaves = tuple(embed_vertex(v, 1, bit) for v in w.leaves)
+            w = Claw(embed_vertex(w.center, 1, bit), leaves)
+        else:
+            w = InducedCycle(tuple(embed_vertex(v, 1, bit) for v in w.vertices))
+    return w, {"steps": steps, "base": "brute-force"}
+
+
+def tied_set(n, base):
+    """``base``, a Q_4 mask, times all of Q_(n-4) in the low coordinates:
+    both sides of every split hold the same count."""
+    block = (1 << (1 << (n - 4))) - 1
+    return VertexSet(n, sum(block << (t << (n - 4)) for t in range(16) if base >> t & 1))
+
+
+def test_descent_matches_the_split_and_embed_reference():
+    cases = []
+    for n in range(5, 17):
+        cases += [seeded_dense_set(n, seed) for seed in (n, 100 + n, 200 + n)]
+        tied_top = seeded_dense_set(n - 1, 300 + n)
+        cases.append(VertexSet(n, embed(tied_top, 1, 0).mask | embed(tied_top, 1, 1).mask))
+        cases.append(tied_set(n, 0x5557))
+        cases.append(tied_set(n, 0xAAAB))
+    ties = sides1 = 0
+    for s in cases:
+        w, trace = find_witness_inductive(s)
+        ref_w, ref_trace = reference_descent(s)
+        assert (w, trace.to_dict()) == (ref_w, ref_trace), s.dim
+        assert check_witness(w, s)
+        for step in ref_trace["steps"]:
+            a, b = step["side_cardinalities"]
+            ties += a == b
+            sides1 += step["chosen_side"]
+    assert ties > 100 and sides1 > 100  # both tie-breaks and side-1 steps were compared
+
+
+def test_warm_descent_builds_no_block_mask(monkeypatch):
+    monkeypatch.setattr(hypercube, "_block_masks", {})
+    built = []
+    build = hypercube._build_block_mask
+    monkeypatch.setattr(
+        hypercube,
+        "_build_block_mask",
+        lambda nbits, block: built.append((nbits, block)) or build(nbits, block),
+    )
+    s = seeded_dense_set(12, 12)
+    first = find_witness_inductive(s)
+    assert built  # the cold descent builds its masks
+    built.clear()
+    assert find_witness_inductive(s) == first
+    assert built == []
+
+
+def test_block_mask_cache_stops_at_its_width(monkeypatch):
+    monkeypatch.setattr(hypercube, "_block_masks", {})
+    find_witness_inductive(seeded_dense_set(20, 20))
+    widths = {nbits for nbits, _ in hypercube._block_masks}
+    assert max(widths) == hypercube._BLOCK_MASK_CACHE_BITS == 1 << 16
+    assert len(hypercube._block_masks) == sum(range(5, 17))  # every split from Q_16 down
+
+
+def test_even_half_spread_is_the_embedding():
+    for p in range(256):
+        for bit in (0, 1):
+            assert _EVEN_HALF_SPREAD[p] << bit == embed(VertexSet(3, p), 1, bit).mask
 
 
 def test_acceptance_extraction_at_dim_cap():

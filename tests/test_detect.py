@@ -217,6 +217,9 @@ def test_check_witness_accepts_and_rejects():
     assert not check_witness(InducedCycle((0, 1, 3, 2, 0, 1)), q3)  # repeats
     assert not check_witness(InducedCycle((0, 1, 3, 2, 6, 4)), q3)  # chord 0-2
     assert not check_witness(InducedCycle((0, 1, 3)), q3)  # odd length
+    for bad in ([2], 2.0, None, "2"):  # checked before the set of vertices is built
+        assert not check_witness(InducedCycle((0, 1, 3, bad)), q3)
+        assert not check_witness(InducedCycle((bad, 0, 1, 3)), q3)
     assert not check_witness("claw", q3)  # not a witness at all
     assert not check_witness(Claw(0, (1, 2, 16)), VertexSet.full(4))  # out of range
 
