@@ -7,8 +7,9 @@ member has at least three in-set neighbors (a "claw-center"), and claw
 detection is a single degree scan.  That scan is ``claw_center``, and
 ``claw_at`` builds the claw at a center; ``find_claw``, the structured
 solver and the case-claim checks all go through these two.
-``classify_five_set`` holds the package's only mask BFS, and
-``_path_from`` the one path walk, shared with the extremal search.
+``classify_five_set`` needs no search: in the bipartite cube, the count
+of degree-1 vertices tells a five-vertex path from a disconnected set.
+``_path_from`` is the one path walk, shared with the extremal search.
 
 Induced-cycle search is a depth-first path extension with chord pruning:
 a partial path is abandoned as soon as its tip is adjacent to any path
@@ -80,19 +81,30 @@ def induced_degree(s: VertexSet, v: int) -> int:
 
 
 def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
-    """Least member of ``among`` with three or more neighbors in ``mask``.
-    Both arguments are membership masks of Q_dim."""
+    """Least member of ``among`` with three or more neighbors in ``mask``;
+    the walk up ``among`` stops at it.  Both are membership masks of Q_dim."""
     nbr = neighbor_masks(dim)
-    for v in _iter_bits(among):
+    while among:
+        low = among & -among
+        v = low.bit_length() - 1
         if (nbr[v] & mask).bit_count() >= 3:
             return v
+        among ^= low
     return None
 
 
 def claw_at(s: VertexSet, center: int) -> Claw:
     """The claw at ``center`` whose leaves are its three least-labeled
-    in-set neighbors.  ``center`` must have at least three of them."""
-    a, b, c = _iter_bits(neighbor_masks(s.dim)[center] & s.mask)[:3]
+    in-set neighbors.  ``center`` must have at least three of them, or
+    ``ValueError`` is raised."""
+    hood = neighbor_masks(s.dim)[center] & s.mask
+    a = (hood & -hood).bit_length() - 1
+    hood &= hood - 1
+    b = (hood & -hood).bit_length() - 1
+    hood &= hood - 1
+    c = (hood & -hood).bit_length() - 1
+    if c < 0:
+        raise ValueError(f"vertex {center} has fewer than three in-set neighbors")
     return Claw(center, (a, b, c))
 
 
@@ -154,42 +166,33 @@ def find_theorem_witness(s: VertexSet) -> Optional[Witness]:
 
 
 def classify_five_set(s: VertexSet) -> PathClassification:
-    """Exact structural classification of a five-vertex set."""
+    """Exact structural classification of a five-vertex set.
+
+    Q_n is bipartite, so five vertices whose in-set degrees are all 1 or
+    2 induce no cycle: there is no odd cycle, and beside a C_4 the fifth
+    vertex is isolated or gives a cycle vertex degree 3.  They induce P5,
+    with two degree-1 vertices, or P3 + P2, with four, so the degree-1
+    count settles connectivity with no search.  A cube set never yields
+    ``INDUCED_CYCLE`` or ``OTHER``; both stay members of the public enum.
+    """
     if len(s) != 5:
         raise ValueError(f"classification requires exactly 5 vertices, got {len(s)}")
     nbr = neighbor_masks(s.dim)
     members = s.members()
-    hoods = {v: nbr[v] & s.mask for v in members}
-    degrees = {v: hoods[v].bit_count() for v in members}
+    degrees = [(nbr[v] & s.mask).bit_count() for v in members]
 
-    if max(degrees.values()) >= 3:
+    if max(degrees) >= 3:
         return PathClassification(FiveSetKind.HAS_DEGREE3_VERTEX)
-    if min(degrees.values()) == 0:
+    if min(degrees) == 0:
         return PathClassification(FiveSetKind.HAS_ISOLATED_VERTEX)
-
-    # connectivity by mask BFS from the least member
-    seen = 1 << members[0]
-    frontier = seen
-    while frontier:
-        grow = 0
-        for v in _iter_bits(frontier):
-            grow |= hoods[v]
-        frontier = grow & s.mask & ~seen
-        seen |= frontier
-    if seen != s.mask:
+    if degrees.count(1) != 2:
         return PathClassification(FiveSetKind.DISCONNECTED)
-
-    ones = sorted(v for v in members if degrees[v] == 1)
-    if not ones:
-        return PathClassification(FiveSetKind.INDUCED_CYCLE)
-    if len(ones) == 2:
-        order = _path_from(ones[0], s.mask, s.dim)
-        return PathClassification(
-            FiveSetKind.PATH_P5,
-            endpoints=(order[0], order[4]),
-            internal=(order[1], order[2], order[3]),
-        )
-    return PathClassification(FiveSetKind.OTHER)
+    order = _path_from(members[degrees.index(1)], s.mask, s.dim)
+    return PathClassification(
+        FiveSetKind.PATH_P5,
+        endpoints=(order[0], order[4]),
+        internal=(order[1], order[2], order[3]),
+    )
 
 
 def _path_from(end: int, mask: int, dim: int) -> list[int]:

@@ -214,7 +214,8 @@ def _theorem_chunk(params, start, stop):
         # would raise rather than wrap.
         seen = bytearray(1 << 16)
         classes = []  # (class key, witness verdict)
-    for mask in _subsets(size, 16, start, stop):
+        counts = []  # subsets of this chunk in each class
+    for index, mask in enumerate(_subsets(size, 16, start, stop), start):
         s = VertexSet(4, mask)
         details = None
         if symmetry_reduced:
@@ -226,10 +227,15 @@ def _theorem_chunk(params, start, stop):
                 canon = VertexSet(4, min(orbit))
                 w = find_theorem_witness(canon)
                 classes.append((canon.mask, w is not None and check_witness(w, canon)))
+                counts.append(0)
                 for img in orbit:
                     seen[img] = len(classes)
-            key, ok = classes[seen[mask] - 1]
-            details = {"class_counts": {format(key, "04X"): 1}}
+            place = seen[mask] - 1
+            ok = classes[place][1]
+            counts[place] += 1
+            if index == stop - 1:
+                keys = [format(key, "04X") for key, _ in classes]
+                details = {"class_counts": dict(zip(keys, counts))}
         else:
             w = find_theorem_witness(s)
             ok = w is not None and check_witness(w, s)
@@ -269,11 +275,12 @@ def _case23_chunk(params, start, stop):
     big_size = params[0]
     small_size = 9 - big_size
     n_small = math.comb(8, small_size)
+    bigs = [_EVEN_HALF_SPREAD[p] for p in _subsets(big_size, 8, 0, math.comb(8, big_size))]
+    smalls = [_EVEN_HALF_SPREAD[p] << 1 for p in _subsets(small_size, 8, 0, n_small)]
     for index in range(start, stop):
         i, j = divmod(index, n_small)
-        big = _EVEN_HALF_SPREAD[unrank_subset(i, big_size, 8)]
-        small = _EVEN_HALF_SPREAD[unrank_subset(j, small_size, 8)] << 1
-        full = big | small
+        big = bigs[i]
+        full = big | smalls[j]
         ok = claw_center(full, big, 4) is not None
         subcube_ok = claw_center(big, big, 4) is not None
         details = {"subcube_only_failures": 0 if subcube_ok else 1}

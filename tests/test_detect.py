@@ -11,6 +11,8 @@ from cubeclaw.detect import (
     FiveSetKind,
     InducedCycle,
     check_witness,
+    claw_at,
+    claw_center,
     classify_five_set,
     find_claw,
     find_induced_cycle,
@@ -85,6 +87,45 @@ def test_find_claw_agrees_with_naive_four_subset_search():
         n = rng.choice((3, 4, 5))
         s = random_set(rng, n)
         assert (find_claw(s) is not None) == claw_exists(s.members(), n)
+
+
+def label_neighbors(dim):
+    """Each label's neighbors, ascending, read off the labels: each flips
+    one of the dim bits."""
+    return [sorted(v ^ 1 << i for i in range(dim)) for v in range(1 << dim)]
+
+
+def check_claw_functions(mask, dim, nbrs):
+    s = VertexSet(dim, mask)
+    for among in (mask, mask & 0x5555_5555, mask & 0xAAAA_AAAA):
+        # the least member of among with three in-set neighbors, and them
+        members = (v for v in range(1 << dim) if among >> v & 1)
+        hoods = ((v, [u for u in nbrs[v] if mask >> u & 1]) for v in members)
+        center, hood = next(((v, hood) for v, hood in hoods if len(hood) >= 3), (None, None))
+        assert claw_center(mask, among, dim) == center, (mask, among)
+        if center is not None:
+            assert claw_at(s, center) == Claw(center, tuple(hood[:3]))
+
+
+def test_claw_center_and_claw_at_match_label_reference_exhaustively():
+    # every mask of Q_3 and Q_4, scanning the whole set and each half of
+    # the coordinate-1 split
+    for dim in (3, 4):
+        nbrs = label_neighbors(dim)
+        for mask in range(1 << (1 << dim)):
+            check_claw_functions(mask, dim, nbrs)
+
+
+def test_claw_center_and_claw_at_match_label_reference_at_dim5():
+    rng = random.Random(55)
+    nbrs = label_neighbors(5)
+    for _ in range(2000):
+        check_claw_functions(random_set(rng, 5, rng.choice((0.2, 0.4, 0.6))).mask, 5, nbrs)
+
+
+def test_claw_at_rejects_a_center_with_two_in_set_neighbors():
+    with pytest.raises(ValueError):
+        claw_at(C6_SET, 1)  # 1 has in-set neighbors 3 and 5 only
 
 
 def test_find_induced_cycle_c6():
@@ -184,6 +225,52 @@ def test_classify_five_set_matches_oracle_on_all_q3_subsets():
             assert got.endpoints[0] < got.endpoints[1]
     # brute-forced census of the 56 five-subsets of Q_3
     assert kinds == {"has_degree3_vertex": 32, "path_p5": 24}
+
+
+def check_classification(five, dim):
+    got = classify_five_set(VertexSet.from_members(five, dim))
+    expect = classify_five(five, dim)
+    assert got.kind.value == expect, five
+    if got.kind is FiveSetKind.PATH_P5:
+        order = path_order_of_p5(five, dim)
+        assert got.endpoints == (order[0], order[4])
+        assert got.internal == tuple(order[1:4])
+    else:
+        assert got.endpoints is None and got.internal is None
+    return expect
+
+
+def test_classify_five_set_matches_oracle_on_all_q4_subsets():
+    kinds = {}
+    for five in combinations(range(16), 5):
+        expect = check_classification(five, 4)
+        kinds[expect] = kinds.get(expect, 0) + 1
+    # brute-forced census of the 4368 five-subsets of Q_4: the cube is
+    # bipartite, so no five-set induces a cycle or an unlisted shape
+    assert kinds == {
+        "has_degree3_vertex": 720,
+        "has_isolated_vertex": 2688,
+        "disconnected": 576,
+        "path_p5": 384,
+    }
+
+
+def test_classify_five_set_matches_oracle_on_q5_sample():
+    rng = random.Random(5)
+    kinds = set()
+    for trial in range(600):
+        if trial % 2:
+            five = rng.sample(range(32), 5)
+        else:
+            # grow from one vertex through in-set neighbors, so connected
+            # shapes (paths, trees with a degree-3 vertex) are common
+            five = [rng.randrange(32)]
+            while len(five) < 5:
+                v = rng.choice(five) ^ 1 << rng.randrange(5)
+                if v not in five:
+                    five.append(v)
+        kinds.add(check_classification(sorted(five), 5))
+    assert kinds == {"has_degree3_vertex", "has_isolated_vertex", "disconnected", "path_p5"}
 
 
 def test_classify_five_set_examples():

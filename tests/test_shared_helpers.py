@@ -147,3 +147,15 @@ def test_proposition_report_is_worker_invariant(monkeypatch):
         split = verify_proposition_exhaustive(workers=k)
         assert split.deterministic_digest == serial.deterministic_digest
         assert split.details == serial.details
+
+
+def test_symmetry_reduced_theorem_report_is_worker_invariant(monkeypatch):
+    # each chunk yields its class counts once, at its last index; the
+    # merged counts must not depend on where the chunks split the orbits
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    serial = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)
+    assert serial.details == {"distinct_classes": 56, "orbit_accounting_total": 11440}
+    for k in (2, 3, 5):
+        split = verify_theorem_exhaustive(4, 9, workers=k, symmetry_reduced=True)
+        assert split.deterministic_digest == serial.deterministic_digest
+        assert split.details == serial.details
