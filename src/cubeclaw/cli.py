@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
@@ -46,23 +45,6 @@ from .verify import (
     verify_theorem_exhaustive,
 )
 from .witness import base_case_solve_structured, find_witness_inductive
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 4
-    size: int = 9
-    set_source: Optional[tuple[str, str]] = None  # (kind, value); kind: hex|file|inline
-    method: str = "inductive"
-    cycle: int = 8
-    case: object = "all"
-    trials: int = 100
-    seed: int = 0
-    workers: int = 1
-    output: Optional[str] = None
-    format: str = "table"
-    symmetry_reduced: bool = False
 
 
 _LINE_BLOCK = 1 << 16
@@ -157,20 +139,19 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     )
 
 
-def _load_set(config: RunConfig) -> VertexSet:
-    if config.set_source is None:
-        raise SetParseError("no vertex set given: use --hex, --set-file or --vertices")
-    kind, value = config.set_source
-    if kind == "hex":
-        return set_from_hex(value, config.n)
-    if kind == "file":
+def _load_set(args: argparse.Namespace) -> VertexSet:
+    if args.hex_mask:
+        return set_from_hex(args.hex_mask, args.n)
+    if args.set_file:
         # universal-newline reads never end between the "\r" and "\n" of a pair
         try:
-            with open(value, "r", encoding="utf-8") as fh:
-                return _parse_blocks(iter(lambda: fh.read(_LINE_BLOCK), ""), config.n)
+            with open(args.set_file, "r", encoding="utf-8") as fh:
+                return _parse_blocks(iter(lambda: fh.read(_LINE_BLOCK), ""), args.n)
         except OSError as exc:
-            raise SetParseError(f"cannot read set file {value!r}: {exc}") from None
-    return parse_set("\n".join(value.replace(",", " ").split()), config.n)
+            raise SetParseError(f"cannot read set file {args.set_file!r}: {exc}") from None
+    if args.vertices:
+        return parse_set("\n".join(args.vertices.replace(",", " ").split()), args.n)
+    raise SetParseError("no vertex set given: use --hex, --set-file or --vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +175,20 @@ def _report_table(reports: list[VerificationReport]) -> str:
     return "\n".join(lines)
 
 
-def _emit(config: RunConfig, document: dict, table: str) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, document: dict, table: str) -> None:
+    if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(table)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _finish_reports(config: RunConfig, reports: list[VerificationReport]) -> int:
+def _finish_reports(args: argparse.Namespace, reports: list[VerificationReport]) -> int:
     document = {"reports": [r.to_dict() for r in reports]}
-    _emit(config, document, _report_table(reports))
+    _emit(args, document, _report_table(reports))
     return 0 if all(r.failed == 0 for r in reports) else 1
 
 
@@ -216,34 +197,29 @@ def _finish_reports(config: RunConfig, reports: list[VerificationReport]) -> int
 # ---------------------------------------------------------------------------
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit status."""
-    if config.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {config.workers}")
+    if args.command == "verify-theorem":
+        report = verify_theorem_exhaustive(args.n, args.size, args.workers, args.symmetry_reduced)
+        return _finish_reports(args, [report])
 
-    if config.command == "verify-theorem":
-        report = verify_theorem_exhaustive(
-            config.n, config.size, config.workers, config.symmetry_reduced
-        )
-        return _finish_reports(config, [report])
+    if args.command == "verify-proposition":
+        return _finish_reports(args, [verify_proposition_exhaustive(args.workers)])
 
-    if config.command == "verify-proposition":
-        return _finish_reports(config, [verify_proposition_exhaustive(config.workers)])
+    if args.command == "verify-cases":
+        case = args.case if args.case == "all" else int(args.case)
+        return _finish_reports(args, verify_case_claims(case, args.workers))
 
-    if config.command == "verify-cases":
-        case = config.case if config.case == "all" else int(config.case)
-        return _finish_reports(config, verify_case_claims(case, config.workers))
-
-    if config.command == "witness":
+    if args.command == "witness":
         lo, hi = _BRUTEFORCE_DIMS
-        if config.method == "bruteforce" and not lo <= config.n <= hi:
-            raise ValueError(f"--method bruteforce supports n in {lo}..{hi}, got {config.n}")
-        s = _load_set(config)
+        if args.method == "bruteforce" and not lo <= args.n <= hi:
+            raise ValueError(f"--method bruteforce supports n in {lo}..{hi}, got {args.n}")
+        s = _load_set(args)
         case = None
         trace = None
-        if config.method == "inductive":
+        if args.method == "inductive":
             w, trace = find_witness_inductive(s)
-        elif config.method == "structured":
+        elif args.method == "structured":
             w, case = base_case_solve_structured(s)
         else:
             w = find_theorem_witness(s)
@@ -253,7 +229,7 @@ def run(config: RunConfig) -> int:
         if not check_witness(w, s):
             raise TheoremViolationError("extracted witness failed validation", s.dim, s.mask)
         text = witness_to_text(w, s.dim)
-        document: dict = {"witness": text, "method": config.method, "set": s.to_hex()}
+        document: dict = {"witness": text, "method": args.method, "set": s.to_hex()}
         lines = [text]
         if case is not None:
             document["case"] = case
@@ -266,12 +242,12 @@ def run(config: RunConfig) -> int:
                     f" side sizes {st.side_cardinalities}, chose side {st.chosen_side}"
                 )
             lines.append(f"base case: {trace.base}")
-        _emit(config, document, "\n".join(lines))
+        _emit(args, document, "\n".join(lines))
         return 0
 
-    if config.command == "extremal":
-        forbidden = ("claw", f"C{config.cycle}")
-        result = extremal_search(config.n, forbidden)
+    if args.command == "extremal":
+        forbidden = ("claw", f"C{args.cycle}")
+        result = extremal_search(args.n, forbidden)
         document = {"extremal": result.to_dict()}
         cap = (
             "none (n <= 2, uncapped search)"
@@ -283,14 +259,14 @@ def run(config: RunConfig) -> int:
             f" {result.max_size}\ncertificate (hex mask): {result.certificate.to_hex()}\n"
             f"half cap: {cap}\nnodes explored: {result.nodes_explored}"
         )
-        _emit(config, document, table)
+        _emit(args, document, table)
         return 0
 
-    if config.command == "random-test":
-        report = random_agreement_test(config.n, config.trials, config.seed, config.workers)
-        return _finish_reports(config, [report])
+    if args.command == "random-test":
+        report = random_agreement_test(args.n, args.trials, args.seed, args.workers)
+        return _finish_reports(args, [report])
 
-    raise ValueError(f"unknown command {config.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    def common(sp, workers=True):
+        if workers:
+            sp.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(
             "--format", choices=("table", "json"), default="table", help="stdout format"
@@ -350,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             " or case dispatch" % _BRUTEFORCE_DIMS
         ),
     )
-    common(sp)
+    common(sp, workers=False)
 
     sp = sub.add_parser("extremal", help="largest structure-free subset")
     n_help = "cube dimension, %d..%d (3 with --cycle 6)" % _EXTREMAL_C8_DIMS
@@ -358,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cycle", type=int, default=8, choices=(6, 8), help="forbidden cycle length"
     )
-    common(sp)
+    common(sp, workers=False)
 
     sp = sub.add_parser("random-test", help="seeded random extractor validation")
     sp.add_argument("--n", type=int, required=True, help="cube dimension, %d..%d" % _RANDOM_DIMS)
@@ -369,39 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "n",
-        "size",
-        "case",
-        "trials",
-        "seed",
-        "workers",
-        "output",
-        "format",
-        "cycle",
-        "method",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "symmetry_reduced", False):
-        config.symmetry_reduced = True
-    if getattr(args, "hex_mask", None):
-        config.set_source = ("hex", args.hex_mask)
-    elif getattr(args, "set_file", None):
-        config.set_source = ("file", args.set_file)
-    elif getattr(args, "vertices", None):
-        config.set_source = ("inline", args.vertices)
-    return config
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config)
+        return run(args)
     except TheoremViolationError as exc:
         print(f"THEOREM VIOLATION (this is a bug, please report): {exc}", file=sys.stderr)
         return 1

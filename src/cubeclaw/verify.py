@@ -43,7 +43,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 from .detect import (
@@ -60,7 +60,7 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _iter_bits, _orbit, neighbor_masks
+from .hypercube import VertexSet, _block_mask, _iter_bits, _orbit, neighbor_masks
 from .witness import (
     _EVEN_HALF_Q4,
     _EVEN_HALF_SPREAD,
@@ -104,17 +104,7 @@ class VerificationReport:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "universe_size": self.universe_size,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexamples": list(self.counterexamples),
-            "wall_time": self.wall_time,
-            "worker_count": self.worker_count,
-            "deterministic_digest": self.deterministic_digest,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -276,14 +266,14 @@ def _case23_chunk(params, start, stop):
     small_size = 9 - big_size
     n_small = math.comb(8, small_size)
     bigs = [_EVEN_HALF_SPREAD[p] for p in _subsets(big_size, 8, 0, math.comb(8, big_size))]
+    subcube_ok = [claw_center(big, big, 4) is not None for big in bigs]
     smalls = [_EVEN_HALF_SPREAD[p] << 1 for p in _subsets(small_size, 8, 0, n_small)]
     for index in range(start, stop):
         i, j = divmod(index, n_small)
         big = bigs[i]
         full = big | smalls[j]
         ok = claw_center(full, big, 4) is not None
-        subcube_ok = claw_center(big, big, 4) is not None
-        details = {"subcube_only_failures": 0 if subcube_ok else 1}
+        details = {"subcube_only_failures": 0 if subcube_ok[i] else 1}
         yield ok, None if ok else VertexSet(4, full).to_hex(), details
 
 
@@ -372,7 +362,7 @@ def _random_agreement_chunk(params, start, stop):
                 cause = "direct_search"
             else:
                 cause = None
-        except Exception as exc:
+        except TheoremViolationError as exc:
             cause = type(exc).__name__
         if cause is None:
             yield True, None, None
@@ -430,7 +420,7 @@ def _run_check(
     check_name: str, chunk, params: tuple, total: int, workers: int
 ) -> VerificationReport:
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     if workers == 1 or total <= 1:
         chunks = [_run_chunk(chunk, params, 0, total)]
@@ -692,7 +682,7 @@ def _max_free(n: int, k: int) -> ExtremalResult:
     nverts = 1 << n
     nbr = neighbor_masks(n)
     # halves[j]: the vertices with bit j set, one half of the split on bit j
-    halves = [sum(1 << v for v in range(nverts) if v >> j & 1) for j in range(n)]
+    halves = [_block_mask(nverts, 1 << j) << (1 << j) for j in range(n)]
 
     # The even-weight half induces no edges at all, so it is free of both
     # structures; its size seeds the bound and guarantees a certificate.

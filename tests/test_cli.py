@@ -1,12 +1,13 @@
 """Command-line surface: set parsing, dispatch, exit codes, output files."""
 
+import argparse
 import json
 import random
 
 import pytest
 
 from cubeclaw import cli
-from cubeclaw.cli import RunConfig, build_parser, config_from_args, main, parse_set, run
+from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import VertexSet, vertex_from_text
@@ -119,11 +120,12 @@ def test_set_file_is_read_in_blocks(tmp_path, monkeypatch):
                 raw_whole = _parse_outcome(lambda: parse_set(raw, n))
                 if name in ("lines", "blank lines"):
                     assert whole == raw_whole == members
-                config = RunConfig("witness", n=n, set_source=("file", str(path)))
+                argv = ["witness", "--n", str(n), "--set-file", str(path)]
+                args = build_parser().parse_args(argv)
                 for block in (1, 2, 3, 7):
                     monkeypatch.setattr(cli, "_LINE_BLOCK", block)
                     case = (name, repr(ending), repr(tail), block)
-                    assert _parse_outcome(lambda: cli._load_set(config)) == whole, case
+                    assert _parse_outcome(lambda: cli._load_set(args)) == whole, case
                     assert _parse_outcome(lambda: parse_set(text, n)) == whole, case
                     assert _parse_outcome(lambda: parse_set(raw, n)) == raw_whole, case
                 monkeypatch.undo()
@@ -311,7 +313,7 @@ def test_cli_case_choices(capsys):
     assert exc.value.code == 2
     assert "{1,2,3,4,all}" in capsys.readouterr().err
     args = build_parser().parse_args(["verify-cases", "--case", "3"])
-    assert config_from_args(args).case == "3"
+    assert args.case == "3"
 
 
 @pytest.mark.parametrize(
@@ -334,7 +336,7 @@ def test_cli_help_and_library_name_the_same_range(capsys, argv, bad, span):
 def test_cli_workers_validation(capsys):
     code, _, err = run_cli(capsys, "verify-proposition", "--workers", "0")
     assert code == 2
-    assert "workers" in err
+    assert "workers must be >= 1, got 0" in err
 
 
 def test_cli_usage_errors_exit_2():
@@ -346,17 +348,14 @@ def test_cli_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_run_config_roundtrip_from_args():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["verify-theorem", "--size", "10", "--workers", "3", "--format", "json"]
-    )
-    config = config_from_args(args)
-    assert config == RunConfig(
-        command="verify-theorem", size=10, workers=3, format="json"
-    )
+def test_workers_only_on_the_check_commands(capsys):
+    for argv in (["witness", "--n", "4", "--hex", "01FF"], ["extremal", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
-        run(RunConfig(command="bogus"))
+        run(argparse.Namespace(command="bogus"))

@@ -3,6 +3,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 import cubeclaw.verify as verify_mod
 from cubeclaw.detect import Claw, InducedCycle, check_witness, claw_center
 from cubeclaw.errors import TheoremViolationError
@@ -77,6 +79,15 @@ def test_random_agreement_records_exception_cause(monkeypatch):
     report = random_agreement_test(4, 3, seed=1, workers=1)
     assert report.failed == 3
     assert report.details["failure_causes"] == {"TheoremViolationError": 3}
+
+
+def test_random_agreement_raises_other_exceptions(monkeypatch):
+    def broken(s):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", broken)
+    with pytest.raises(TypeError, match="injected"):
+        random_agreement_test(4, 3, seed=1, workers=1)
 
 
 def test_random_agreement_records_invalid_witness(monkeypatch):
