@@ -37,12 +37,8 @@ from .hypercube import (
     vertex_to_text,
 )
 from .verify import (
-    CaseFourOutcome,
-    ClawInSmallSide,
-    CycleAfterDeletion,
     ExtremalResult,
     VerificationReport,
-    analyze_case_four_placement,
     extremal_search,
     random_agreement_test,
     verify_case_claims,

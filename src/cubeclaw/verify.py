@@ -24,7 +24,9 @@ The checks:
   claw-center claims are checked under both degree readings (neighbors
   inside the half only, versus the whole set including the cross edge);
   the half-only reading demonstrably fails for the chordless-6-cycle
-  halves, so the cross-edge reading is the operative one.
+  halves, so the cross-edge reading is the operative one.  Each of the
+  120 (5,4) outcomes of ``witness.resolve_five_four`` counts as passed
+  only once ``check_witness`` validates it.
 - ``extremal_search``: branch-and-bound proof that the density bound is
   tight -- the largest structure-free subset has exactly half the
   vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.  The search at
@@ -47,10 +49,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Union
 
 from .detect import (
-    Claw,
     FiveSetKind,
-    InducedCycle,
-    PathClassification,
     _path_from,
     check_witness,
     claw_center,
@@ -64,7 +63,6 @@ from .hypercube import VertexSet, _block_mask, _iter_bits, _orbit, neighbor_mask
 from .witness import (
     _EVEN_HALF_Q4,
     _EVEN_HALF_SPREAD,
-    _ODD_HALF_Q4,
     find_witness_inductive,
     required_size,
     resolve_five_four,
@@ -131,26 +129,6 @@ class ExtremalResult:
             "half_cap": self.half_cap,
             "metrics": self.metrics,
         }
-
-
-@dataclass(frozen=True)
-class ClawInSmallSide:
-    claw: Claw
-
-
-@dataclass(frozen=True)
-class CycleAfterDeletion:
-    dropped: int
-    cycle: InducedCycle
-
-
-@dataclass(frozen=True)
-class CaseFourOutcome:
-    """Full analysis of one five-vertex path placement in the (5,4) case."""
-
-    path: PathClassification
-    admissible: tuple[VertexSet, ...]
-    outcomes: tuple[Union[ClawInSmallSide, CycleAfterDeletion], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +232,9 @@ def _proposition_chunk(params, start, stop):
 
 
 def _case1_chunk(params, start, stop):
-    nbr = neighbor_masks(4)
     for index in range(start, stop):
         full = _EVEN_HALF_Q4 | 1 << (2 * index + 1)
-        ok = all((nbr[v] & full).bit_count() >= 3 for v in range(0, 16, 2))
+        ok = all(claw_center(full, 1 << v, 4) is not None for v in range(0, 16, 2))
         yield ok, None if ok else VertexSet(4, full).to_hex(), None
 
 
@@ -306,9 +283,10 @@ def _case4_admissible_chunk(params, start, stop):
 def _case4_outcomes_chunk(params, start, stop):
     for placement_idx, big, small in params[0][start:stop]:
         full = VertexSet(4, big | small)
-        resolved = resolve_five_four(full, VertexSet(4, small))
-        ok = resolved is not None
-        kind = "none" if resolved is None else "claw" if resolved[1] is None else "cycle"
+        w, z = resolve_five_four(full, VertexSet(4, small)) or (None, None)
+        # a cycle induced in full minus z is induced in full as well
+        ok = w is not None and check_witness(w, full if z is None else full.remove(z))
+        kind = "none" if w is None else "claw" if z is None else "cycle"
         yield ok, None if ok else full.to_hex(), {"outcome_kinds": [[placement_idx, kind]]}
 
 
@@ -549,43 +527,6 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
         reports.append(r3)
 
     return reports
-
-
-def analyze_case_four_placement(five: VertexSet) -> CaseFourOutcome:
-    """Full outcome analysis for one path placement in the (5,4) split.
-
-    ``five`` must be five vertices of the coordinate-1 = 0 half of Q_4
-    inducing a five-vertex path.  Returns the path classification, the
-    admissible four-vertex choices on the other half, and each choice's
-    resolution, every cycle independently validated.
-    """
-    if five.dim != 4 or len(five) != 5 or five.mask & _ODD_HALF_Q4:
-        raise ValueError("expected five vertices in the coordinate-1 = 0 half of Q_4")
-    shape = classify_five_set(five)
-    if shape.kind is not FiveSetKind.PATH_P5:
-        raise ValueError(f"placement does not induce a path: {shape.kind.value}")
-
-    admissible = tuple(
-        VertexSet(4, small) for small in _admissible_choices(five.mask)
-    )
-    outcomes: list[Union[ClawInSmallSide, CycleAfterDeletion]] = []
-    for choice in admissible:
-        full = five.union(choice)
-        resolved = resolve_five_four(full, choice)
-        if resolved is None:
-            raise TheoremViolationError(
-                "a (5,4) configuration resolved to neither claw nor cycle", 4, full.mask
-            )
-        w, dropped = resolved
-        if dropped is None:
-            if not check_witness(w, full):
-                raise TheoremViolationError("invalid claw outcome", 4, full.mask)
-            outcomes.append(ClawInSmallSide(w))
-        else:
-            if not check_witness(w, full.remove(dropped)) or not check_witness(w, full):
-                raise TheoremViolationError("invalid cycle outcome", 4, full.mask)
-            outcomes.append(CycleAfterDeletion(dropped, w))
-    return CaseFourOutcome(shape, admissible, tuple(outcomes))
 
 
 def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> VerificationReport:

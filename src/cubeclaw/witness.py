@@ -182,11 +182,13 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     may induce a chordless 6-cycle with all subcube degrees 2).
 
     Case 4: the larger half either has a subcube degree-3 vertex (done)
-    or induces a five-vertex path.  A path-internal vertex with a
-    neighbor across the split is itself a claw-center; failing that, the
-    smaller half is scanned for a claw-center; in the one remaining
-    configuration some vertex z leaves an induced 8-cycle behind when
-    removed.
+    or induces a five-vertex path.  Then the claw-center scan of cases
+    1-3 runs over the larger half: a path endpoint has at most two
+    neighbors in the set, so the center it finds is the least
+    path-internal vertex with a neighbor across the split.  Failing
+    that, the smaller half is scanned for a claw-center; in the one
+    remaining configuration some vertex z leaves an induced 8-cycle
+    behind when removed.
     """
     if s.dim != 4:
         raise ValueError(f"structured solver works in dimension 4, got {s.dim}")
@@ -199,32 +201,28 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     size = big.bit_count()
     case = {8: 1, 7: 2, 6: 3, 5: 4}[size]
 
-    if case in (1, 2, 3):
-        center = claw_center(s.mask, big, 4)
-        if center is not None:
-            return claw_at(s, center), case
+    if case == 4:
+        big_set = VertexSet(4, big)
+        claw = find_claw(big_set)
+        if claw is not None:
+            return claw, case
+        shape = classify_five_set(big_set)
+        if shape.kind is not FiveSetKind.PATH_P5:
+            raise TheoremViolationError(
+                f"max-degree-2 five-vertex half is not a path ({shape.kind.value})",
+                s.dim,
+                s.mask,
+            )
+
+    center = claw_center(s.mask, big, 4)
+    if center is not None:
+        return claw_at(s, center), case
+    if case != 4:
         raise TheoremViolationError(
             f"no claw-center in the larger half of a ({size},{9 - size}) split",
             s.dim,
             s.mask,
         )
-
-    # case 4: (5,4) split
-    big_set = VertexSet(4, big)
-    claw = find_claw(big_set)
-    if claw is not None:
-        return claw, case
-
-    shape = classify_five_set(big_set)
-    if shape.kind is not FiveSetKind.PATH_P5:
-        raise TheoremViolationError(
-            f"max-degree-2 five-vertex half is not a path ({shape.kind.value})",
-            s.dim,
-            s.mask,
-        )
-    for a in sorted(shape.internal):
-        if (a ^ 1) in s:
-            return claw_at(s, a), case
 
     resolved = resolve_five_four(s, VertexSet(4, small))
     if resolved is None:

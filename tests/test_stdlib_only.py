@@ -1,5 +1,6 @@
 """Runtime dependencies stay stdlib only: every absolute import in the
-package names a standard-library module or the package itself."""
+package names a standard-library module or the package itself.  Every
+name a module (other than ``__init__``) imports is used in it."""
 
 import ast
 import sys
@@ -22,3 +23,18 @@ def test_package_imports_only_stdlib_and_itself():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "cubeclaw", (path.name, name)
+
+
+def test_package_imports_are_used():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

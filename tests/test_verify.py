@@ -6,13 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from cubeclaw.detect import FiveSetKind, check_witness, find_claw, find_induced_cycle
+from cubeclaw.detect import Claw, check_witness, find_claw, find_induced_cycle
 from cubeclaw.hypercube import VertexSet
 from cubeclaw.verify import (
-    CaseFourOutcome,
-    ClawInSmallSide,
-    CycleAfterDeletion,
-    analyze_case_four_placement,
     extremal_search,
     gosper_next,
     _subsets,
@@ -23,6 +19,7 @@ from cubeclaw.verify import (
     verify_proposition_exhaustive,
     verify_theorem_exhaustive,
 )
+from cubeclaw.witness import resolve_five_four
 from oracles import binomial, claw_exists, induces_cycle, shuffle_prefix
 
 
@@ -129,46 +126,20 @@ def test_case_claims_digests_stable_across_workers():
     ]
 
 
-def test_analyze_case_four_placement_invariants():
-    placements = [
-        VertexSet.from_members(five, 4)
-        for five in combinations(range(0, 16, 2), 5)
-    ]
-    analyzed = 0
-    for placement in placements:
-        try:
-            outcome = analyze_case_four_placement(placement)
-        except ValueError:
-            continue
-        analyzed += 1
-        assert isinstance(outcome, CaseFourOutcome)
-        assert outcome.path.kind is FiveSetKind.PATH_P5
-        assert len(outcome.admissible) == 5
-        assert len(outcome.outcomes) == 5
-        kinds = []
-        for choice, result in zip(outcome.admissible, outcome.outcomes):
-            full = placement.union(choice)
-            if isinstance(result, ClawInSmallSide):
-                kinds.append("claw")
-                assert result.claw.center in choice
-                assert check_witness(result.claw, full)
-            else:
-                kinds.append("cycle")
-                assert isinstance(result, CycleAfterDeletion)
-                assert result.dropped in full
-                assert result.dropped not in result.cycle.vertices
-                assert len(result.cycle.vertices) == 8
-                assert check_witness(result.cycle, full)
-                assert check_witness(result.cycle, full.remove(result.dropped))
-        assert sorted(kinds) == ["claw", "claw", "claw", "claw", "cycle"]
-    assert analyzed == 24
+def test_case_four_outcomes_are_validated(monkeypatch):
+    def invalid_claw(full, small):
+        v = min(small.members())
+        return Claw(v, (v, v, v)), None
 
+    def cycle_keeps_z(full, small):
+        w, z = resolve_five_four(full, small)
+        return w, None if z is None else w.vertices[0]
 
-def test_analyze_case_four_placement_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        analyze_case_four_placement(VertexSet.from_members([0, 2, 4, 6, 1], 4))
-    with pytest.raises(ValueError):
-        analyze_case_four_placement(VertexSet.from_members([0, 2, 4, 8, 14], 4))
+    for fake, failures in ((invalid_claw, 120), (cycle_keeps_z, 24)):
+        monkeypatch.setattr("cubeclaw.verify.resolve_five_four", fake)
+        report = verify_case_claims(4)[2]
+        assert (report.universe_size, report.failed) == (120, failures)
+        assert len(report.counterexamples) == 16
 
 
 def oracle_free_masks(n, size, cycle_len):
