@@ -24,9 +24,10 @@ The checks:
   claw-center claims are checked under both degree readings (neighbors
   inside the half only, versus the whole set including the cross edge);
   the half-only reading demonstrably fails for the chordless-6-cycle
-  halves, so the cross-edge reading is the operative one.  Each of the
-  120 (5,4) outcomes of ``witness.resolve_five_four`` counts as passed
-  only once ``check_witness`` validates it.
+  halves, so the cross-edge reading is the operative one.  The (5,4)
+  claims classify each of the 56 even-half five-sets once.  Each of the
+  120 (5,4) outcomes of ``witness.resolve_five_four`` counts, as passed
+  and in the claw/cycle split, only once ``check_witness`` validates it.
 - ``extremal_search``: branch-and-bound proof that the density bound is
   tight -- the largest structure-free subset has exactly half the
   vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.  The search at
@@ -168,6 +169,12 @@ def _subsets(size: int, universe: int, start: int, stop: int):
         mask = gosper_next(mask)
 
 
+def _half_subsets(size: int, side: int) -> list[int]:
+    """The Q_4 masks of the ``size``-subsets of the coordinate-1 = ``side``
+    half, in increasing-mask order."""
+    return [_EVEN_HALF_SPREAD[p] << side for p in _subsets(size, 8, 0, math.comb(8, size))]
+
+
 # ---------------------------------------------------------------------------
 # checks: one module-level (so picklable) chunk generator per check, which
 # yields (ok, counterexample, details) for each index in [start, stop)
@@ -240,13 +247,11 @@ def _case1_chunk(params, start, stop):
 
 def _case23_chunk(params, start, stop):
     big_size = params[0]
-    small_size = 9 - big_size
-    n_small = math.comb(8, small_size)
-    bigs = [_EVEN_HALF_SPREAD[p] for p in _subsets(big_size, 8, 0, math.comb(8, big_size))]
+    bigs = _half_subsets(big_size, 0)
     subcube_ok = [claw_center(big, big, 4) is not None for big in bigs]
-    smalls = [_EVEN_HALF_SPREAD[p] << 1 for p in _subsets(small_size, 8, 0, n_small)]
+    smalls = _half_subsets(9 - big_size, 1)
     for index in range(start, stop):
-        i, j = divmod(index, n_small)
+        i, j = divmod(index, len(smalls))
         big = bigs[i]
         full = big | smalls[j]
         ok = claw_center(full, big, 4) is not None
@@ -255,29 +260,18 @@ def _case23_chunk(params, start, stop):
 
 
 def _case4_structure_chunk(params, start, stop):
-    for pmask in _subsets(5, 8, start, stop):
-        s = VertexSet(4, _EVEN_HALF_SPREAD[pmask])
-        is_p5 = classify_five_set(s).kind is FiveSetKind.PATH_P5
-        ok = (claw_center(s.mask, s.mask, 4) is None) == is_p5
-        yield ok, None if ok else s.to_hex(), {"p5_placements": 1 if is_p5 else 0}
-
-
-def _admissible_choices(big_mask: int) -> list[int]:
-    """4-subsets of the odd half avoiding partners of the path's internals."""
-    shape = classify_five_set(VertexSet(4, big_mask))
-    partners = sum(1 << (a >> 1) for a in shape.internal)
-    return [
-        _EVEN_HALF_SPREAD[pmask] << 1
-        for pmask in _subsets(4, 8, 0, math.comb(8, 4))
-        if not pmask & partners
-    ]
+    for mask, shape in params[0][start:stop]:
+        is_p5 = shape.kind is FiveSetKind.PATH_P5
+        ok = (claw_center(mask, mask, 4) is None) == is_p5
+        cex = None if ok else VertexSet(4, mask).to_hex()
+        yield ok, cex, {"p5_placements": 1 if is_p5 else 0}
 
 
 def _case4_admissible_chunk(params, start, stop):
-    for big in params[0][start:stop]:
-        count = len(_admissible_choices(big))
-        ok = count == 5
-        yield ok, None if ok else VertexSet(4, big).to_hex(), {"admissible_counts": [count]}
+    for big, choices in params[0][start:stop]:
+        ok = len(choices) == 5
+        cex = None if ok else VertexSet(4, big).to_hex()
+        yield ok, cex, {"admissible_counts": [len(choices)]}
 
 
 def _case4_outcomes_chunk(params, start, stop):
@@ -285,9 +279,11 @@ def _case4_outcomes_chunk(params, start, stop):
         full = VertexSet(4, big | small)
         w, z = resolve_five_four(full, VertexSet(4, small)) or (None, None)
         # a cycle induced in full minus z is induced in full as well
-        ok = w is not None and check_witness(w, full if z is None else full.remove(z))
-        kind = "none" if w is None else "claw" if z is None else "cycle"
-        yield ok, None if ok else full.to_hex(), {"outcome_kinds": [[placement_idx, kind]]}
+        if w is not None and check_witness(w, full if z is None else full.remove(z)):
+            kind = "claw" if z is None else "cycle"
+            yield True, None, {"outcome_kinds": [[placement_idx, kind]]}
+        else:
+            yield False, full.to_hex(), None
 
 
 def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
@@ -383,15 +379,11 @@ def _run_chunk(chunk, params: tuple, start: int, stop: int):
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    chunk, extra = divmod(total, workers)
-    out = []
-    lo = 0
-    for i in range(workers):
-        hi = lo + chunk + (1 if i < extra else 0)
-        if hi > lo:
-            out.append((lo, hi))
-        lo = hi
-    return out
+    """``min(workers, total)`` contiguous nonempty spans covering [0, total)."""
+    parts = min(workers, total)
+    chunk, extra = divmod(total, parts)
+    bounds = [i * chunk + min(i, extra) for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _run_check(
@@ -476,11 +468,6 @@ def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
     return report
 
 
-def _p5_placements() -> tuple[int, ...]:
-    halves = (VertexSet(4, _EVEN_HALF_SPREAD[p]) for p in _subsets(5, 8, 0, math.comb(8, 5)))
-    return tuple(s.mask for s in halves if classify_five_set(s).kind is FiveSetKind.PATH_P5)
-
-
 def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[VerificationReport]:
     """Machine-check the delegated claims of the dimension-4 case analysis.
 
@@ -503,20 +490,27 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
         reports.append(r)
 
     if case in (4, "all"):
+        shapes = tuple((big, classify_five_set(VertexSet(4, big))) for big in _half_subsets(5, 0))
         name = "case4-max-degree-2-is-path"
-        reports.append(_run_check(name, _case4_structure_chunk, (), math.comb(8, 5), workers))
+        reports.append(_run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers))
 
-        placements = _p5_placements()
+        # each P5 placement with its admissible choices: the odd-half
+        # 4-sets avoiding the partner a ^ 1 of every path-internal a
+        fours = _half_subsets(4, 1)
+        placements = []
+        for big, shape in shapes:
+            if shape.kind is FiveSetKind.PATH_P5:
+                partners = sum(1 << (a ^ 1) for a in shape.internal)
+                placements.append((big, [small for small in fours if not small & partners]))
         name = "case4-admissible-choice-count"
         r2 = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
         reports.append(r2)
 
-        pairs = []
-        for idx, big in enumerate(placements):
-            for small in _admissible_choices(big):
-                pairs.append((idx, big, small))
+        pairs = tuple(
+            (idx, big, small) for idx, (big, choices) in enumerate(placements) for small in choices
+        )
         name = "case4-claw-or-cycle-outcomes"
-        r3 = _run_check(name, _case4_outcomes_chunk, (tuple(pairs),), len(pairs), workers)
+        r3 = _run_check(name, _case4_outcomes_chunk, (pairs,), len(pairs), workers)
         splits: dict[int, list[int]] = {}
         for placement_idx, kind in r3.details.pop("outcome_kinds", []):
             claws_cycles = splits.setdefault(placement_idx, [0, 0])

@@ -31,12 +31,10 @@ from typing import Optional
 
 from .detect import (
     Claw,
-    FiveSetKind,
     InducedCycle,
     Witness,
     claw_at,
     claw_center,
-    classify_five_set,
     find_claw,
     find_induced_cycle,
     find_theorem_witness,
@@ -182,13 +180,15 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     may induce a chordless 6-cycle with all subcube degrees 2).
 
     Case 4: the larger half either has a subcube degree-3 vertex (done)
-    or induces a five-vertex path.  Then the claw-center scan of cases
-    1-3 runs over the larger half: a path endpoint has at most two
-    neighbors in the set, so the center it finds is the least
-    path-internal vertex with a neighbor across the split.  Failing
-    that, the smaller half is scanned for a claw-center; in the one
-    remaining configuration some vertex z leaves an induced 8-cycle
-    behind when removed.
+    or induces a five-vertex path.  That path lemma is not re-derived per
+    call: ``verify-cases`` certifies it (``case4-max-degree-2-is-path``),
+    and the test suite's census of the five-subsets inside either half
+    pins it.  Then the claw-center scan of cases 1-3 runs over the
+    larger half: a path endpoint has at most two neighbors in the set,
+    so the center it finds is the least path-internal vertex with a
+    neighbor across the split.  Failing that, the smaller half is
+    scanned for a claw-center; in the one remaining configuration some
+    vertex z leaves an induced 8-cycle behind when removed.
     """
     if s.dim != 4:
         raise ValueError(f"structured solver works in dimension 4, got {s.dim}")
@@ -202,17 +202,9 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     case = {8: 1, 7: 2, 6: 3, 5: 4}[size]
 
     if case == 4:
-        big_set = VertexSet(4, big)
-        claw = find_claw(big_set)
+        claw = find_claw(VertexSet(4, big))
         if claw is not None:
             return claw, case
-        shape = classify_five_set(big_set)
-        if shape.kind is not FiveSetKind.PATH_P5:
-            raise TheoremViolationError(
-                f"max-degree-2 five-vertex half is not a path ({shape.kind.value})",
-                s.dim,
-                s.mask,
-            )
 
     center = claw_center(s.mask, big, 4)
     if center is not None:

@@ -242,9 +242,12 @@ def check_classification(five, dim):
 
 def test_classify_five_set_matches_oracle_on_all_q4_subsets():
     kinds = {}
+    in_half = {}
     for five in combinations(range(16), 5):
         expect = check_classification(five, 4)
         kinds[expect] = kinds.get(expect, 0) + 1
+        if len({v & 1 for v in five}) == 1:
+            in_half[expect] = in_half.get(expect, 0) + 1
     # brute-forced census of the 4368 five-subsets of Q_4: the cube is
     # bipartite, so no five-set induces a cycle or an unlisted shape
     assert kinds == {
@@ -253,6 +256,9 @@ def test_classify_five_set_matches_oracle_on_all_q4_subsets():
         "disconnected": 576,
         "path_p5": 384,
     }
+    # the (5,4) path lemma, for a five-vertex larger half on either side
+    # of coordinate 1: no degree-3 vertex means an induced P5
+    assert in_half == {"has_degree3_vertex": 64, "path_p5": 48}
 
 
 def test_classify_five_set_matches_oracle_on_q5_sample():

@@ -106,9 +106,10 @@ def test_random_agreement_passing_trials_add_no_cause():
 
 class InlinePool:
     """Stands in for ProcessPoolExecutor: runs each chunk in-process and
-    records the process count it was asked for."""
+    records the process count it was asked for and the spans submitted."""
 
     requested: list = []
+    spans: list = []
 
     def __init__(self, max_workers):
         InlinePool.requested.append(max_workers)
@@ -120,6 +121,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args):
+        InlinePool.spans.append(args[-2:])
         result = fn(*args)
 
         class Done:
@@ -148,6 +150,19 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     InlinePool.requested = []
     verify_proposition_exhaustive(workers=3)
     assert InlinePool.requested == [3]
+
+
+def test_spans_are_bounded_by_the_universe(monkeypatch):
+    # far more workers than configurations: one span per configuration
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    InlinePool.requested, InlinePool.spans = [], []
+    serial = verify_proposition_exhaustive()
+    wide = verify_proposition_exhaustive(workers=10**7)
+    assert wide.deterministic_digest == serial.deterministic_digest
+    assert wide.worker_count == 10**7
+    assert InlinePool.spans == [(i, i + 1) for i in range(28)]
+    assert InlinePool.requested == [2]
 
 
 def test_proposition_report_is_worker_invariant(monkeypatch):

@@ -1,6 +1,7 @@
 """Runtime dependencies stay stdlib only: every absolute import in the
 package names a standard-library module or the package itself.  Every
-name a module (other than ``__init__``) imports is used in it."""
+name a module (other than ``__init__``) imports is used in it.  No
+exception handler is bare or catches ``Exception`` / ``BaseException``."""
 
 import ast
 import sys
@@ -38,3 +39,15 @@ def test_package_imports_are_used():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_no_broad_except():
+    broad = {"Exception", "BaseException"}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            assert node.type is not None, (path.name, node.lineno, "bare except")
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {c.id for c in caught if isinstance(c, ast.Name)}
+            assert not names & broad, (path.name, node.lineno, sorted(names & broad))

@@ -6,7 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from cubeclaw.detect import Claw, check_witness, find_claw, find_induced_cycle
+from cubeclaw.detect import (
+    Claw,
+    check_witness,
+    classify_five_set,
+    find_claw,
+    find_induced_cycle,
+)
 from cubeclaw.hypercube import VertexSet
 from cubeclaw.verify import (
     extremal_search,
@@ -135,11 +141,26 @@ def test_case_four_outcomes_are_validated(monkeypatch):
         w, z = resolve_five_four(full, small)
         return w, None if z is None else w.vertices[0]
 
-    for fake, failures in ((invalid_claw, 120), (cycle_keeps_z, 24)):
+    # a failed outcome counts in neither slot of the claw/cycle split
+    for fake, failures, split in ((invalid_claw, 120, [0, 0]), (cycle_keeps_z, 24, [4, 0])):
         monkeypatch.setattr("cubeclaw.verify.resolve_five_four", fake)
         report = verify_case_claims(4)[2]
         assert (report.universe_size, report.failed) == (120, failures)
         assert len(report.counterexamples) == 16
+        assert report.details["per_placement_split"] == [split] * 24
+        assert report.details["all_split_4_to_1"] is False
+
+
+def test_case_claims_classify_each_five_placement_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s.mask)
+        return classify_five_set(s)
+
+    monkeypatch.setattr("cubeclaw.verify.classify_five_set", counting)
+    verify_case_claims("all")
+    assert len(calls) == len(set(calls)) == 56
 
 
 def oracle_free_masks(n, size, cycle_len):
