@@ -189,7 +189,7 @@ def _emit(args: argparse.Namespace, document: dict, table: str) -> None:
 def _finish_reports(args: argparse.Namespace, reports: list[VerificationReport]) -> int:
     document = {"reports": [r.to_dict() for r in reports]}
     _emit(args, document, _report_table(reports))
-    return 0 if all(r.failed == 0 for r in reports) else 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------

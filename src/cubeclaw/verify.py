@@ -9,7 +9,8 @@ the report's digest is bit-identical for any worker count.  Each check is
 one module-level generator, ``_<check>_chunk(params, start, stop)``, that
 yields ``(ok, counterexample, details)`` for each index in [start, stop);
 the runner is handed the generator itself, which a process pool pickles
-by name.
+by name.  A chunk's details hold only what its run decides: a fact its
+inputs already fix is set on the report by the check that builds them.
 
 The checks:
 
@@ -183,14 +184,13 @@ def _half_subsets(size: int, side: int) -> list[int]:
 def _theorem_chunk(params, start, stop):
     size, symmetry_reduced = params
     if symmetry_reduced:
-        # seen: Q_4 mask -> 1 + its class's place in classes, 0 until
+        # seen: Q_4 mask -> 1 + its class's place in verdicts, 0 until
         # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
         # takes over 1 MB; no size has more than 56 classes, and a 256th
         # would raise rather than wrap.
         seen = bytearray(1 << 16)
-        classes = []  # (class key, witness verdict)
-        counts = []  # subsets of this chunk in each class
-    for index, mask in enumerate(_subsets(size, 16, start, stop), start):
+        verdicts = []
+    for mask in _subsets(size, 16, start, stop):
         s = VertexSet(4, mask)
         details = None
         if symmetry_reduced:
@@ -201,16 +201,11 @@ def _theorem_chunk(params, start, stop):
                 orbit = _orbit(s)
                 canon = VertexSet(4, min(orbit))
                 w = find_theorem_witness(canon)
-                classes.append((canon.mask, w is not None and check_witness(w, canon)))
-                counts.append(0)
+                verdicts.append(w is not None and check_witness(w, canon))
                 for img in orbit:
-                    seen[img] = len(classes)
-            place = seen[mask] - 1
-            ok = classes[place][1]
-            counts[place] += 1
-            if index == stop - 1:
-                keys = [format(key, "04X") for key, _ in classes]
-                details = {"class_counts": dict(zip(keys, counts))}
+                    seen[img] = len(verdicts)
+                details = {"class_orbits": [[canon.to_hex(), len(set(orbit))]]}
+            ok = verdicts[seen[mask] - 1]
         else:
             w = find_theorem_witness(s)
             ok = w is not None and check_witness(w, s)
@@ -246,32 +241,25 @@ def _case1_chunk(params, start, stop):
 
 
 def _case23_chunk(params, start, stop):
-    big_size = params[0]
-    bigs = _half_subsets(big_size, 0)
-    subcube_ok = [claw_center(big, big, 4) is not None for big in bigs]
-    smalls = _half_subsets(9 - big_size, 1)
+    bigs, smalls = params
     for index in range(start, stop):
         i, j = divmod(index, len(smalls))
         big = bigs[i]
         full = big | smalls[j]
         ok = claw_center(full, big, 4) is not None
-        details = {"subcube_only_failures": 0 if subcube_ok[i] else 1}
-        yield ok, None if ok else VertexSet(4, full).to_hex(), details
+        yield ok, None if ok else VertexSet(4, full).to_hex(), None
 
 
 def _case4_structure_chunk(params, start, stop):
     for mask, shape in params[0][start:stop]:
-        is_p5 = shape.kind is FiveSetKind.PATH_P5
-        ok = (claw_center(mask, mask, 4) is None) == is_p5
-        cex = None if ok else VertexSet(4, mask).to_hex()
-        yield ok, cex, {"p5_placements": 1 if is_p5 else 0}
+        ok = (claw_center(mask, mask, 4) is None) == (shape.kind is FiveSetKind.PATH_P5)
+        yield ok, None if ok else VertexSet(4, mask).to_hex(), None
 
 
 def _case4_admissible_chunk(params, start, stop):
     for big, choices in params[0][start:stop]:
         ok = len(choices) == 5
-        cex = None if ok else VertexSet(4, big).to_hex()
-        yield ok, cex, {"admissible_counts": [len(choices)]}
+        yield ok, None if ok else VertexSet(4, big).to_hex(), None
 
 
 def _case4_outcomes_chunk(params, start, stop):
@@ -357,25 +345,20 @@ def _merge_details(acc: dict, extra: Optional[dict]) -> None:
             acc[key] = acc.get(key, 0) + val
         elif isinstance(val, list):
             acc.setdefault(key, []).extend(val)
-        elif isinstance(val, dict):
-            _merge_details(acc.setdefault(key, {}), val)
         else:
-            acc[key] = val
+            _merge_details(acc.setdefault(key, {}), val)
 
 
 def _run_chunk(chunk, params: tuple, start: int, stop: int):
     outcomes = bytearray()
-    passed = 0
     counterexamples: list[str] = []
     details: dict = {}
     for ok, cex, extra in chunk(params, start, stop):
         outcomes.append(49 if ok else 48)  # b"1" / b"0"
-        if ok:
-            passed += 1
-        elif cex is not None and len(counterexamples) < COUNTEREXAMPLE_CAP:
+        if not ok and cex is not None and len(counterexamples) < COUNTEREXAMPLE_CAP:
             counterexamples.append(cex)
         _merge_details(details, extra)
-    return bytes(outcomes), passed, counterexamples, details
+    return bytes(outcomes), outcomes.count(49), counterexamples, details
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -440,7 +423,9 @@ def verify_theorem_exhaustive(
     Classes are found by orbit marking (cf. McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998): the first subset of a
     class that a chunk meets has its at most 384 images generated once,
-    and each is marked with the least image, the class key.
+    and each is marked with the least image, the class key.  The orbit
+    sizes of the distinct keys sum to ``universe_size``, since the orbits
+    partition the subsets, unless an orbit strays outside its class.
     """
     if n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
@@ -451,9 +436,10 @@ def verify_theorem_exhaustive(
     name = f"theorem-exhaustive-n4-size{size}"
     report = _run_check(name, _theorem_chunk, (size, symmetry_reduced), total, workers)
     if symmetry_reduced:
-        class_counts = report.details.pop("class_counts", {})
-        report.details["distinct_classes"] = len(class_counts)
-        report.details["orbit_accounting_total"] = sum(class_counts.values())
+        # two chunks can meet the same class, so pairs are deduped by key
+        orbit_sizes = dict(report.details.pop("class_orbits", []))
+        report.details["distinct_classes"] = len(orbit_sizes)
+        report.details["orbit_accounting_total"] = sum(orbit_sizes.values())
     return report
 
 
@@ -481,19 +467,18 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
     if case in (1, "all"):
         reports.append(_run_check("case1-full-half-claw-centers", _case1_chunk, (), 8, workers))
 
-    if case in (2, "all"):
-        r = _run_check("case2-split-7-2-claw-center", _case23_chunk, (7,), 8 * 28, workers)
-        reports.append(r)
-
-    if case in (3, "all"):
-        r = _run_check("case3-split-6-3-claw-center", _case23_chunk, (6,), 28 * 56, workers)
-        reports.append(r)
+    for split, big_size in ((2, 7), (3, 6)):
+        if case in (split, "all"):
+            bigs, smalls = _half_subsets(big_size, 0), _half_subsets(9 - big_size, 1)
+            name = f"case{split}-split-{big_size}-{9 - big_size}-claw-center"
+            r = _run_check(name, _case23_chunk, (bigs, smalls), len(bigs) * len(smalls), workers)
+            # the half-only reading depends on the big half alone
+            half_only = sum(claw_center(big, big, 4) is None for big in bigs)
+            r.details["subcube_only_failures"] = half_only * len(smalls)
+            reports.append(r)
 
     if case in (4, "all"):
         shapes = tuple((big, classify_five_set(VertexSet(4, big))) for big in _half_subsets(5, 0))
-        name = "case4-max-degree-2-is-path"
-        reports.append(_run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers))
-
         # each P5 placement with its admissible choices: the odd-half
         # 4-sets avoiding the partner a ^ 1 of every path-internal a
         fours = _half_subsets(4, 1)
@@ -502,8 +487,15 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
             if shape.kind is FiveSetKind.PATH_P5:
                 partners = sum(1 << (a ^ 1) for a in shape.internal)
                 placements.append((big, [small for small in fours if not small & partners]))
+
+        name = "case4-max-degree-2-is-path"
+        r1 = _run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers)
+        r1.details["p5_placements"] = len(placements)
+        reports.append(r1)
+
         name = "case4-admissible-choice-count"
         r2 = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
+        r2.details["admissible_counts"] = [len(choices) for _, choices in placements]
         reports.append(r2)
 
         pairs = tuple(

@@ -153,17 +153,19 @@ def resolve_five_four(
 
     ``small`` is the four-vertex half of ``s``.  Returns ``(claw, None)``
     for the least member of ``small`` with three neighbors in ``s``;
-    failing that, ``(cycle, z)`` for the least z whose removal leaves an
-    induced 8-cycle; failing both, None.
+    failing that, ``(cycle, z)`` for the induced 8-cycle of ``s`` and the
+    one member z off it; failing both, None.  With no claw-center in
+    either half no member has three neighbors in ``s``, so z has none on
+    the cycle, and no other induced 8-cycle of ``s`` runs through z.
     """
     center = claw_center(s.mask, small.mask, s.dim)
     if center is not None:
         return claw_at(s, center), None
-    for z in s.members():
-        cycle = find_induced_cycle(s.remove(z), 8)
-        if cycle is not None:
-            return cycle, z
-    return None
+    cycle = find_induced_cycle(s, 8)
+    if cycle is None:
+        return None
+    off_cycle = s.mask & ~sum(1 << v for v in cycle.vertices)
+    return cycle, off_cycle.bit_length() - 1
 
 
 def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
@@ -187,8 +189,8 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     larger half: a path endpoint has at most two neighbors in the set,
     so the center it finds is the least path-internal vertex with a
     neighbor across the split.  Failing that, the smaller half is
-    scanned for a claw-center; in the one remaining configuration some
-    vertex z leaves an induced 8-cycle behind when removed.
+    scanned for a claw-center; failing that too, one search finds the
+    induced 8-cycle through all but one member.
     """
     if s.dim != 4:
         raise ValueError(f"structured solver works in dimension 4, got {s.dim}")

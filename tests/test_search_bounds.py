@@ -2,7 +2,6 @@
 symmetry-reduced theorem check."""
 
 import math
-from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -106,8 +105,23 @@ def test_mid_orbit_chunk_keys_are_canonical_forms():
     _, passed, _, details = _run_chunk(_theorem_chunk, (9, True), start, stop)
     assert passed == stop - start
     mask = unrank_subset(start, 9, 16)
-    expected = Counter()
+    expected = {}
     for _ in range(start, stop):
-        expected[canonical_form(VertexSet(4, mask)).to_hex()] += 1
+        canon = canonical_form(VertexSet(4, mask))
+        expected[canon.to_hex()] = len(set(_orbit(canon)))
         mask = gosper_next(mask)
-    assert details["class_counts"] == dict(expected)
+    # one pair per class the chunk meets, keyed by its canonical form
+    assert len(details["class_orbits"]) == len(expected)
+    assert dict(details["class_orbits"]) == expected
+
+
+def test_orbit_accounting_catches_a_foreign_image(monkeypatch):
+    # each class's orbit also names the nine-subset after its key, which
+    # for most classes lies in another class
+    real = verify_mod._orbit
+    monkeypatch.setattr(
+        verify_mod, "_orbit", lambda s: [*(orbit := real(s)), gosper_next(min(orbit))]
+    )
+    report = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)
+    assert report.details["distinct_classes"] == 56
+    assert report.details["orbit_accounting_total"] != report.universe_size

@@ -6,7 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from cubeclaw.detect import Claw, InducedCycle, check_witness, find_theorem_witness
+from cubeclaw.detect import (
+    Claw,
+    InducedCycle,
+    check_witness,
+    find_claw,
+    find_induced_cycle,
+    find_theorem_witness,
+)
 from cubeclaw.errors import InsufficientCardinalityError
 from cubeclaw.hypercube import VertexSet, embed, embed_vertex
 from cubeclaw.witness import (
@@ -216,6 +223,26 @@ def test_structured_case_4_inadmissible_choice_claw_at_path_internal():
         assert isinstance(w, Claw) and check_witness(w, s)
         return
     raise AssertionError("no P5 placement found")
+
+
+def test_claw_free_nine_subsets_leave_one_isolated_vertex_off_their_c8():
+    # the lemma behind the single cycle search of resolve_five_four
+    sets = 0
+    for members in combinations(range(16), 9):
+        s = VertexSet.from_members(members, 4)
+        if find_claw(s) is not None:
+            continue
+        cycle = find_induced_cycle(s, 8)
+        if cycle is None:
+            continue
+        sets += 1
+        off = set(members) - set(cycle.vertices)
+        assert len(off) == 1
+        (z,) = off
+        assert not any(naive_adjacent(z, v, 4) for v in members)
+        assert find_induced_cycle(s, 8) == find_induced_cycle(s.remove(z), 8)
+    # every one of them, by the theorem
+    assert sets == 48
 
 
 def test_structured_rejects_wrong_cardinality_or_dim():
