@@ -19,19 +19,13 @@ from .detect import (
     find_claw,
     find_induced_cycle,
     find_theorem_witness,
-    induced_degree,
     witness_to_text,
 )
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
 from .hypercube import (
-    Automorphism,
     VertexSet,
-    adjacent,
-    apply_automorphism,
     canonical_form,
     embed,
-    neighbors,
-    random_automorphism,
     split,
     vertex_from_text,
     vertex_to_text,

@@ -181,9 +181,12 @@ def _emit(args: argparse.Namespace, document: dict, table: str) -> None:
     else:
         print(table)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(document, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write report file {args.output!r}: {exc}") from None
 
 
 def _finish_reports(args: argparse.Namespace, reports: list[VerificationReport]) -> int:

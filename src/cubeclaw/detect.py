@@ -55,9 +55,7 @@ class FiveSetKind(Enum):
     HAS_DEGREE3_VERTEX = "has_degree3_vertex"
     HAS_ISOLATED_VERTEX = "has_isolated_vertex"
     DISCONNECTED = "disconnected"
-    INDUCED_CYCLE = "induced_cycle"
     PATH_P5 = "path_p5"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,6 @@ class PathClassification:
     kind: FiveSetKind
     endpoints: Optional[tuple[int, int]] = None
     internal: Optional[tuple[int, int, int]] = None
-
-
-def induced_degree(s: VertexSet, v: int) -> int:
-    """Number of neighbors of v inside s.  v must be a member."""
-    if v not in s:
-        raise ValueError(f"vertex {v} is not a member of the set")
-    return sum(s.mask >> (v ^ 1 << i) & 1 for i in range(s.dim))
 
 
 def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
@@ -172,8 +163,7 @@ def classify_five_set(s: VertexSet) -> PathClassification:
     2 induce no cycle: there is no odd cycle, and beside a C_4 the fifth
     vertex is isolated or gives a cycle vertex degree 3.  They induce P5,
     with two degree-1 vertices, or P3 + P2, with four, so the degree-1
-    count settles connectivity with no search.  A cube set never yields
-    ``INDUCED_CYCLE`` or ``OTHER``; both stay members of the public enum.
+    count settles connectivity with no search.
     """
     if len(s) != 5:
         raise ValueError(f"classification requires exactly 5 vertices, got {len(s)}")

@@ -23,7 +23,6 @@ built through a byte buffer and read back through a byte table.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,19 +50,6 @@ def check_vertex(v: int, dim: int) -> int:
     return v
 
 
-def adjacent(u: int, v: int, dim: int) -> bool:
-    """True iff u and v differ in exactly one coordinate."""
-    check_vertex(u, check_dim(dim))
-    check_vertex(v, dim)
-    return (u ^ v).bit_count() == 1
-
-
-def neighbors(v: int, dim: int) -> list[int]:
-    """The n neighbors of v, ascending by label."""
-    check_vertex(v, check_dim(dim))
-    return sorted(v ^ (1 << i) for i in range(dim))
-
-
 @lru_cache(maxsize=None)
 def neighbor_masks(dim: int) -> tuple[int, ...]:
     """For each vertex, the membership mask of its n neighbors."""
@@ -75,22 +61,6 @@ def neighbor_masks(dim: int) -> tuple[int, ...]:
             m |= 1 << (v ^ (1 << i))
         out.append(m)
     return tuple(out)
-
-
-def coordinates(v: int, dim: int) -> tuple[int, ...]:
-    """Coordinate tuple of v, coordinate 1 first."""
-    check_vertex(v, check_dim(dim))
-    return tuple((v >> i) & 1 for i in range(dim))
-
-
-def from_coordinates(coords: tuple[int, ...] | list[int]) -> int:
-    """Inverse of :func:`coordinates`."""
-    label = 0
-    for i, bit in enumerate(coords):
-        if bit not in (0, 1):
-            raise ValueError(f"coordinate {i + 1} must be 0 or 1, got {bit!r}")
-        label |= bit << i
-    return label
 
 
 def vertex_to_text(v: int, dim: int) -> str:
@@ -175,15 +145,6 @@ class VertexSet:
             buf[v >> 3] |= 1 << (v & 7)
         return cls(dim, int.from_bytes(buf, "little"))
 
-    @classmethod
-    def empty(cls, dim: int) -> "VertexSet":
-        return cls(dim, 0)
-
-    @classmethod
-    def full(cls, dim: int) -> "VertexSet":
-        check_dim(dim)
-        return cls(dim, (1 << (1 << dim)) - 1)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -199,29 +160,13 @@ class VertexSet:
         data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
         return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
-    def add(self, v: int) -> "VertexSet":
-        check_vertex(v, self.dim)
-        return VertexSet(self.dim, self.mask | (1 << v))
-
     def remove(self, v: int) -> "VertexSet":
         check_vertex(v, self.dim)
         return VertexSet(self.dim, self.mask & ~(1 << v))
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return VertexSet(self.dim, self.mask | other.mask)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.dim, self.mask ^ ((1 << (1 << self.dim)) - 1))
-
     def to_hex(self) -> str:
         """Fixed-width uppercase hex mask, most significant digit first."""
         return format(self.mask, f"0{hex_width(self.dim)}X")
-
-    def to_lines(self) -> str:
-        """One vertex text form per line, ascending by label."""
-        return "\n".join(vertex_to_text(v, self.dim) for v in self.members())
 
     def __repr__(self) -> str:
         return f"VertexSet(dim={self.dim}, mask=0x{self.to_hex()})"
@@ -330,60 +275,6 @@ def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
     return VertexSet(dim, _spread_blocks(s.mask, 1 << dim, block) << (bit * block))
 
 
-def embed_vertex(v: int, coord: int, bit: int) -> int:
-    """Relabel one Q_{n-1} vertex into Q_n (same convention as ``embed``)."""
-    p = coord - 1
-    return (v & ((1 << p) - 1)) | (bit << p) | ((v >> p) << (p + 1))
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A cube automorphism: permute coordinates, then complement some.
-
-    ``perm[i]`` is the 0-indexed source coordinate feeding output
-    coordinate i, i.e. bit i of the image equals bit perm[i] of the
-    argument; ``flips`` is then XORed onto the permuted label.  These
-    maps form the full automorphism group of Q_n (order 2^n * n!).
-    """
-
-    perm: tuple[int, ...]
-    flips: int
-
-    def __post_init__(self):
-        n = len(self.perm)
-        check_dim(n)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"perm {self.perm!r} is not a permutation of 0..{n - 1}")
-        if not isinstance(self.flips, int) or self.flips < 0 or self.flips >> n:
-            raise ValueError(f"flips {self.flips!r} out of range for dimension {n}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Automorphism":
-        return cls(tuple(range(check_dim(dim))), 0)
-
-    def apply_to_vertex(self, v: int) -> int:
-        check_vertex(v, self.dim)
-        return _permute_label(v, self.perm) ^ self.flips
-
-
-def random_automorphism(dim: int, rng: random.Random) -> Automorphism:
-    """Uniform random element of the automorphism group of Q_n."""
-    perm = list(range(check_dim(dim)))
-    rng.shuffle(perm)
-    return Automorphism(tuple(perm), rng.randrange(1 << dim))
-
-
-def apply_automorphism(s: VertexSet, a: Automorphism) -> VertexSet:
-    """Image of a vertex set under an automorphism."""
-    if a.dim != s.dim:
-        raise ValueError(f"automorphism dimension {a.dim} != set dimension {s.dim}")
-    return VertexSet.from_members((a.apply_to_vertex(v) for v in s.members()), s.dim)
-
-
 @lru_cache(maxsize=None)
 def _perm_label_tables(dim: int) -> tuple[tuple[int, ...], ...]:
     # one label-permutation table per coordinate permutation
@@ -396,7 +287,8 @@ def _perm_label_tables(dim: int) -> tuple[tuple[int, ...], ...]:
 def _orbit(s: VertexSet) -> list[int]:
     """Masks of all 2^n * n! automorphic images of ``s``, with repeats.
 
-    The package's one orbit scan: ``canonical_form`` takes its least
+    A cube automorphism permutes the coordinates, then complements some
+    of them.  The package's one orbit scan: ``canonical_form`` takes its least
     element, and the symmetry-reduced theorem check marks every element
     as seen so that each class is scanned once.
     """

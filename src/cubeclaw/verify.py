@@ -47,7 +47,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from .detect import (
@@ -552,17 +552,15 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
 # ---------------------------------------------------------------------------
 
 
-def _parse_forbidden(forbidden) -> tuple[tuple[str, str], int]:
+def _parse_forbidden(forbidden) -> int:
+    """k for the pair of "claw" and "C6" or "C8", in either order."""
     kinds = tuple(forbidden)
-    if len(kinds) != 2 or "claw" not in kinds:
-        raise ValueError(f"forbidden structures must be ('claw', 'C<k>'), got {forbidden!r}")
-    cycle = next(k for k in kinds if k != "claw")
-    if not (isinstance(cycle, str) and cycle.startswith("C") and cycle[1:].isdigit()):
-        raise ValueError(f"unrecognized forbidden structure {cycle!r}")
-    k = int(cycle[1:])
-    if k not in (6, 8):
-        raise ValueError(f"forbidden cycle length must be 6 or 8, got {k}")
-    return ("claw", cycle), k
+    for k in (6, 8):
+        if kinds in (("claw", f"C{k}"), (f"C{k}", "claw")):
+            return k
+    raise ValueError(
+        f"forbidden structures must be ('claw', 'C6') or ('claw', 'C8'), got {forbidden!r}"
+    )
 
 
 def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
@@ -592,13 +590,13 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
 
     Supported ranges: n in 1..5 with C8 forbidden, n = 3 with C6 forbidden.
     """
-    normalized, k = _parse_forbidden(forbidden)
+    k = _parse_forbidden(forbidden)
     lo, hi = _EXTREMAL_C8_DIMS
     if k == 8 and not lo <= n <= hi:
         raise ValueError(f"claw+C8 search supports n in {lo}..{hi}, got {n}")
     if k == 6 and n != 3:
         raise ValueError(f"claw+C6 search supports n = 3 only, got {n}")
-    return replace(_max_free(n, k), forbidden=normalized)
+    return _max_free(n, k)
 
 
 def _max_free(n: int, k: int) -> ExtremalResult:

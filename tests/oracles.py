@@ -21,6 +21,17 @@ def naive_adjacent(u: int, v: int, dim: int) -> bool:
     return sum(1 for x, y in zip(a, b) if x != y) == 1
 
 
+def automorphic_image(members, dim: int, perm, flips: int) -> list[int]:
+    """Image of the members under the cube automorphism whose string
+    position i reads position ``perm[i]`` of ``bits(v)``, then flips the
+    positions where ``bits(flips)`` has a 1."""
+    flip = bits(flips, dim)
+    return [
+        int("".join("1" if bits(v, dim)[p] != f else "0" for p, f in zip(perm, flip)), 2)
+        for v in members
+    ]
+
+
 def induced_edges(members, dim: int) -> list[tuple[int, int]]:
     return [(u, v) for u, v in combinations(sorted(members), 2) if naive_adjacent(u, v, dim)]
 

@@ -10,7 +10,7 @@ from cubeclaw import cli
 from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
-from cubeclaw.hypercube import VertexSet, vertex_from_text
+from cubeclaw.hypercube import VertexSet, vertex_from_text, vertex_to_text
 
 
 def parse_witness_line(line, n):
@@ -46,7 +46,7 @@ def test_parse_set_round_trips():
         n = rng.choice((2, 3, 4, 5))
         s = VertexSet(n, rng.randrange(1 << (1 << n)))
         if len(s):
-            assert parse_set(s.to_lines(), n) == s
+            assert parse_set("\n".join(vertex_to_text(v, n) for v in s), n) == s
         assert parse_set("0x" + s.to_hex(), n) == s
 
 
@@ -69,7 +69,7 @@ def test_parse_set_long_input_keeps_first_diagnostic():
     # ~108 KB of CRLF lines: more than one block of the line reader
     n = 16
     s = VertexSet.from_members(random.Random(9).sample(range(1 << n), 6000), n)
-    lines = s.to_lines().split("\n")
+    lines = [vertex_to_text(v, n) for v in s]
     assert parse_set("\r\n".join(lines), n) == s
     with pytest.raises(SetParseError, match=r"duplicate vertex.*\(line 5001\)$"):
         dups = lines[:5000] + [lines[17]] + lines[5000:5500] + [lines[18]] + lines[5500:]
@@ -91,7 +91,7 @@ def test_set_file_is_read_in_blocks(tmp_path, monkeypatch):
     # exactly as the whole text does: same set, or same message/line/column
     n = 5
     labels = random.Random(11).sample(range(1 << n), 20)
-    lines = [VertexSet(n, 1 << v).to_lines() for v in labels]
+    lines = [vertex_to_text(v, n) for v in labels]
     hex_mask = VertexSet.from_members(range(17), n).to_hex()
     bad_lines = lines[:11] + ["", "0111"] + lines[11:]  # the blank line follows a "\n"
     bodies = {
@@ -215,7 +215,7 @@ def test_cli_witness_bruteforce_dimension_cap(capsys):
     with pytest.raises(SystemExit):
         main(["witness", "--help"])
     assert "direct search (n in 1..12)" in " ".join(capsys.readouterr().out.split())
-    s = VertexSet.from_members(range(1 << 11), 12).add(1 << 11)
+    s = VertexSet.from_members(range((1 << 11) + 1), 12)
     code, out, _ = run_cli(
         capsys, "witness", "--n", "12", "--hex", s.to_hex(), "--method", "bruteforce"
     )
@@ -225,7 +225,7 @@ def test_cli_witness_bruteforce_dimension_cap(capsys):
 
 def test_cli_witness_from_file_and_output(tmp_path, capsys):
     set_file = tmp_path / "set.txt"
-    set_file.write_text(VertexSet(4, 0x5557).to_lines() + "\n")
+    set_file.write_text("".join(vertex_to_text(v, 4) + "\n" for v in VertexSet(4, 0x5557)))
     report_file = tmp_path / "out.json"
     code, out, _ = run_cli(
         capsys,
@@ -275,6 +275,14 @@ def test_cli_missing_set_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "3", "--set-file", str(tmp_path / "nope"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_cli_unwritable_output_file(tmp_path, capsys):
+    report_file = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(capsys, "verify-proposition", "--output", str(report_file))
+    assert code == 2
+    assert err.startswith("error: cannot write report file")
+    assert not report_file.exists()
 
 
 def test_cli_extremal(capsys):

@@ -17,13 +17,13 @@ from cubeclaw.detect import (
     find_claw,
     find_induced_cycle,
     find_theorem_witness,
-    induced_degree,
     witness_to_text,
 )
-from cubeclaw.hypercube import VertexSet, adjacent
+from cubeclaw.hypercube import VertexSet, neighbor_masks
 from oracles import (
     claw_exists,
     classify_five,
+    degree_map,
     induced_cycle_exists,
     naive_adjacent,
     path_order_of_p5,
@@ -44,30 +44,21 @@ def random_set(rng, n, density=0.5):
 
 
 def test_induced_degree_examples():
-    assert induced_degree(VertexSet.full(3), 0) == 3
-    assert induced_degree(VertexSet.from_members([0], 3), 0) == 0
-    for v in C6_SET.members():
-        assert induced_degree(C6_SET, v) == 2
-    with pytest.raises(ValueError):
-        induced_degree(C6_SET, 0)
-
-
-def test_induced_degree_reads_the_mask_without_a_neighbor_table(monkeypatch):
-    def no_table(dim):
-        raise AssertionError(f"neighbor_masks({dim}) built")
-
-    monkeypatch.setattr("cubeclaw.detect.neighbor_masks", no_table)
-    n = 20
-    rng = random.Random(20)
-    s = VertexSet(n, rng.getrandbits(1 << n))
-    for v in rng.sample(s.members(), 50):
-        assert induced_degree(s, v) == sum((v ^ 1 << i) in s for i in range(n))
+    # in-set degree as the detectors read it: the neighbor mask and s
+    nbr = neighbor_masks(3)
+    for s, degrees in [
+        (VertexSet(3, 0xFF), dict.fromkeys(range(8), 3)),
+        (VertexSet.from_members([0], 3), {0: 0}),
+        (C6_SET, dict.fromkeys(C6_SET.members(), 2)),
+    ]:
+        assert {v: (nbr[v] & s.mask).bit_count() for v in s} == degrees
+        assert degree_map(s.members(), 3) == degrees
 
 
 def test_find_claw_examples():
-    assert find_claw(VertexSet.full(3)) == Claw(0, (1, 2, 4))
+    assert find_claw(VertexSet(3, 0xFF)) == Claw(0, (1, 2, 4))
     assert find_claw(C6_SET) is None
-    assert find_claw(VertexSet.empty(3)) is None
+    assert find_claw(VertexSet(3, 0)) is None
 
 
 def test_find_claw_returned_witness_is_valid():
@@ -139,11 +130,11 @@ def test_find_induced_cycle_absent_on_independent_set():
 
 
 def test_find_induced_cycle_full_q4():
-    cycle = find_induced_cycle(VertexSet.full(4), 8)
+    cycle = find_induced_cycle(VertexSet(4, 0xFFFF), 8)
     assert cycle is not None
-    assert check_witness(cycle, VertexSet.full(4))
+    assert check_witness(cycle, VertexSet(4, 0xFFFF))
     # deterministic
-    assert find_induced_cycle(VertexSet.full(4), 8) == cycle
+    assert find_induced_cycle(VertexSet(4, 0xFFFF), 8) == cycle
 
 
 def test_find_induced_cycle_rejects_bad_lengths():
@@ -195,7 +186,7 @@ def test_find_theorem_witness_priorities_and_absence():
     w = find_theorem_witness(half_plus)
     assert isinstance(w, Claw)
     assert find_theorem_witness(EVEN_WEIGHT_Q4) is None  # the tight example
-    assert find_theorem_witness(VertexSet.empty(4)) is None
+    assert find_theorem_witness(VertexSet(4, 0)) is None
 
 
 def test_witness_monotone_under_supersets():
@@ -206,7 +197,7 @@ def test_witness_monotone_under_supersets():
         if w is None:
             continue
         extra = random_set(rng, 4, density=0.3)
-        superset = s.union(extra)
+        superset = VertexSet(4, s.mask | extra.mask)
         assert check_witness(w, superset)
 
 
@@ -296,12 +287,12 @@ def test_classify_five_set_rejects_wrong_cardinality():
 
 
 def test_check_witness_accepts_and_rejects():
-    q3 = VertexSet.full(3)
+    q3 = VertexSet(3, 0xFF)
     assert check_witness(Claw(0, (1, 2, 4)), q3)
     assert not check_witness(Claw(0, (1, 2, 4)), VertexSet.from_members([0, 1], 3))
     cycle = find_induced_cycle(C6_SET, 6)
     assert check_witness(cycle, C6_SET)
-    assert check_witness(cycle, VertexSet.full(3))  # inducedness is ambient-level
+    assert check_witness(cycle, q3)  # inducedness is ambient-level
 
     # malformed witnesses return False instead of raising
     assert not check_witness(Claw(0, (1, 1, 2)), q3)  # duplicate leaf
@@ -314,7 +305,7 @@ def test_check_witness_accepts_and_rejects():
         assert not check_witness(InducedCycle((0, 1, 3, bad)), q3)
         assert not check_witness(InducedCycle((bad, 0, 1, 3)), q3)
     assert not check_witness("claw", q3)  # not a witness at all
-    assert not check_witness(Claw(0, (1, 2, 16)), VertexSet.full(4))  # out of range
+    assert not check_witness(Claw(0, (1, 2, 16)), VertexSet(4, 0xFFFF))  # out of range
 
 
 def reference_claw_check(w, members, dim):
@@ -348,7 +339,7 @@ def test_check_witness_claw_matches_label_reference(mask):
             assert ok is reference_claw_check(w, members, 4), w
             accepted += ok
     assert accepted == sum(
-        6 * math.comb(induced_degree(s, v), 3) for v in s.members()
+        6 * math.comb(d, 3) for d in degree_map(s.members(), 4).values()
     )  # every ordered leaf triple at every center
 
     # around the valid claw 0 | 1 2 4: a list, wrong arities, odd vertex types

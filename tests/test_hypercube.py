@@ -1,4 +1,5 @@
-"""Core cube representation: adjacency, splits, text forms, automorphisms."""
+"""Core cube representation: the neighbor table, vertex text forms, vertex
+sets, splits and embeds, the automorphism orbit and canonical forms."""
 
 import random
 
@@ -6,46 +7,45 @@ import pytest
 
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import (
-    Automorphism,
     VertexSet,
-    adjacent,
-    apply_automorphism,
+    _orbit,
     canonical_form,
-    coordinates,
+    check_vertex,
     embed,
-    embed_vertex,
-    from_coordinates,
     hex_width,
-    neighbors,
-    random_automorphism,
+    neighbor_masks,
     set_from_hex,
     split,
     vertex_from_text,
     vertex_to_text,
 )
-from oracles import naive_adjacent
+from oracles import automorphic_image, induced_edges, naive_adjacent
 
 
 def test_adjacent_examples():
-    assert adjacent(0b0000, 0b0001, 4) is True
-    assert adjacent(0b0000, 0b0000, 4) is False
-    assert adjacent(0b000, 0b111, 3) is False  # antipodal pair
+    assert neighbor_masks(4)[0b0000] >> 0b0001 & 1
+    assert not neighbor_masks(4)[0b0000] & 1
+    assert not neighbor_masks(3)[0b000] >> 0b111 & 1  # antipodal pair
 
 
-def test_adjacent_rejects_bad_vertices():
+def test_check_vertex_rejects_bad_vertices():
     with pytest.raises(ValueError):
-        adjacent(8, 0, 3)
+        check_vertex(8, 3)
     with pytest.raises(ValueError):
-        adjacent(0, -1, 3)
+        check_vertex(-1, 3)
     with pytest.raises(ValueError):
-        neighbors(16, 4)
+        VertexSet(4, 0xFFFF).remove(16)
+    with pytest.raises(ValueError):
+        vertex_to_text(16, 4)
+    with pytest.raises(ValueError):
+        neighbor_masks(0)
 
 
 def test_neighbors_examples():
-    assert neighbors(0b000, 3) == [1, 2, 4]
-    assert neighbors(0b111, 3) == [3, 5, 6]
+    assert VertexSet(3, neighbor_masks(3)[0b000]).members() == [1, 2, 4]
+    assert VertexSet(3, neighbor_masks(3)[0b111]).members() == [3, 5, 6]
     # label 10 = coordinates (0,1,0,1); flips give 11, 8, 14, 2
-    assert neighbors(10, 4) == [2, 8, 11, 14]
+    assert VertexSet(4, neighbor_masks(4)[10]).members() == [2, 8, 11, 14]
 
 
 def test_neighbors_against_oracle():
@@ -53,40 +53,33 @@ def test_neighbors_against_oracle():
     for n in (2, 3, 4, 5, 6):
         for _ in range(20):
             v = rng.randrange(1 << n)
-            got = neighbors(v, n)
+            got = VertexSet(n, neighbor_masks(n)[v]).members()
             expect = sorted(u for u in range(1 << n) if naive_adjacent(u, v, n))
             assert got == expect
             assert len(got) == n
 
 
 def test_adjacency_symmetric_irreflexive_parity():
+    nbr = neighbor_masks(4)
     for u in range(16):
-        assert not adjacent(u, u, 4)
+        assert not nbr[u] >> u & 1
         for v in range(16):
-            if adjacent(u, v, 4):
-                assert adjacent(v, u, 4)
+            if nbr[u] >> v & 1:
+                assert nbr[v] >> u & 1
                 assert bin(u).count("1") % 2 != bin(v).count("1") % 2
 
 
 def test_two_neighbors_of_a_vertex_are_never_adjacent():
+    nbr = neighbor_masks(4)
     for v in range(16):
-        hood = neighbors(v, 4)
+        hood = VertexSet(4, nbr[v]).members()
         for i, a in enumerate(hood):
             for b in hood[i + 1 :]:
-                assert not adjacent(a, b, 4)
+                assert not nbr[a] >> b & 1
                 assert bin(a ^ b).count("1") == 2
 
 
-def test_coordinate_round_trip():
-    for n in (1, 3, 5):
-        for v in range(1 << n):
-            coords = coordinates(v, n)
-            assert len(coords) == n
-            assert from_coordinates(coords) == v
-
-
 def test_coordinate_one_is_least_significant_bit():
-    assert coordinates(1, 4) == (1, 0, 0, 0)
     assert vertex_to_text(1, 4) == "1000"
     assert vertex_from_text("1000", 4) == 1
     assert vertex_to_text(8, 4) == "0001"
@@ -112,9 +105,9 @@ def test_vertexset_basics():
     assert len(s) == 3
     assert s.members() == [0, 3, 5]
     assert 3 in s and 1 not in s and 8 not in s
-    assert s.add(1).members() == [0, 1, 3, 5]
     assert s.remove(3).members() == [0, 5]
-    assert VertexSet.full(3).complement() == VertexSet.empty(3)
+    assert s.remove(1) == s
+    assert VertexSet(3, 0xFF).remove(0).members() == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_vertexset_validation():
@@ -142,9 +135,9 @@ def test_hex_text_forms():
 
 
 def test_split_full_cube():
-    side0, side1 = split(VertexSet.full(4), 1)
-    assert side0 == VertexSet.full(3)
-    assert side1 == VertexSet.full(3)
+    side0, side1 = split(VertexSet(4, 0xFFFF), 1)
+    assert side0 == VertexSet(3, 0xFF)
+    assert side1 == VertexSet(3, 0xFF)
 
 
 def test_split_relabels_by_bit_deletion():
@@ -154,35 +147,35 @@ def test_split_relabels_by_bit_deletion():
     side0, side1 = split(s, 1)
     assert side0.members() == [0]
     assert side1.members() == [0, 7]
-    assert embed(side0, 1, 0).union(embed(side1, 1, 1)) == s
+    assert embed(side0, 1, 0).mask | embed(side1, 1, 1).mask == s.mask
 
 
 def test_split_empty_and_errors():
-    assert split(VertexSet.empty(4), 2) == (VertexSet.empty(3), VertexSet.empty(3))
+    assert split(VertexSet(4, 0), 2) == (VertexSet(3, 0), VertexSet(3, 0))
     with pytest.raises(ValueError):
-        split(VertexSet.empty(4), 0)
+        split(VertexSet(4, 0), 0)
     with pytest.raises(ValueError):
-        split(VertexSet.empty(4), 5)
+        split(VertexSet(4, 0), 5)
     with pytest.raises(ValueError):
-        split(VertexSet.empty(1), 1)
+        split(VertexSet(1, 0), 1)
 
 
 def test_embed_examples():
     assert embed(VertexSet.from_members([0, 1], 2), 1, 0).members() == [0, 2]
-    assert embed(VertexSet.empty(2), 2, 1) == VertexSet.empty(3)
+    assert embed(VertexSet(2, 0), 2, 1) == VertexSet(3, 0)
     # the full Q_3 into the coordinate-1 = 1 half of Q_4: the odd labels
-    assert embed(VertexSet.full(3), 1, 1).mask == 0xAAAA
+    assert embed(VertexSet(3, 0xFF), 1, 1).mask == 0xAAAA
     with pytest.raises(ValueError):
-        embed(VertexSet.empty(3), 5, 0)
+        embed(VertexSet(3, 0), 5, 0)
     with pytest.raises(ValueError):
-        embed(VertexSet.empty(3), 1, 2)
+        embed(VertexSet(3, 0), 1, 2)
 
 
 def test_embed_inverts_split():
     s = VertexSet.from_members([0, 1], 2)
     for coord in (1, 2, 3):
-        assert split(embed(s, coord, 0), coord) == (s, VertexSet.empty(2))
-        assert split(embed(s, coord, 1), coord) == (VertexSet.empty(2), s)
+        assert split(embed(s, coord, 0), coord) == (s, VertexSet(2, 0))
+        assert split(embed(s, coord, 1), coord) == (VertexSet(2, 0), s)
 
 
 def test_split_embed_round_trip_random():
@@ -196,7 +189,7 @@ def test_split_embed_round_trip_random():
             assert len(side0) + len(side1) == len(s)
             back0, back1 = embed(side0, coord, 0), embed(side1, coord, 1)
             assert back0.mask & back1.mask == 0
-            assert back0.union(back1) == s
+            assert back0.mask | back1.mask == s.mask
 
 
 def test_embed_preserves_adjacency():
@@ -205,56 +198,45 @@ def test_embed_preserves_adjacency():
         n = rng.choice((2, 3, 4))
         u, v = rng.randrange(1 << n), rng.randrange(1 << n)
         coord, bit = rng.randint(1, n + 1), rng.randint(0, 1)
-        eu, ev = embed_vertex(u, coord, bit), embed_vertex(v, coord, bit)
-        assert adjacent(u, v, n) == adjacent(eu, ev, n + 1)
+        [eu] = embed(VertexSet(n, 1 << u), coord, bit).members()
+        [ev] = embed(VertexSet(n, 1 << v), coord, bit).members()
+        assert naive_adjacent(u, v, n) == naive_adjacent(eu, ev, n + 1)
 
 
 def test_automorphism_examples():
-    s = VertexSet.from_members([0, 1], 3)
-    flip1 = Automorphism((0, 1, 2), 0b001)
-    assert apply_automorphism(s, flip1) == s  # the pair is closed under that flip
-    swap13 = Automorphism((2, 1, 0), 0)
-    assert apply_automorphism(s, swap13).members() == [0, 4]
-    assert apply_automorphism(s, Automorphism.identity(3)) == s
-
-
-def test_automorphism_validation():
-    with pytest.raises(ValueError):
-        Automorphism((0, 0, 1), 0)
-    with pytest.raises(ValueError):
-        Automorphism((0, 1, 2), 8)
-    with pytest.raises(ValueError):
-        apply_automorphism(VertexSet.empty(3), Automorphism.identity(4))
+    # the orbit of one edge of Q_3 is all 12 edges
+    edges = {1 << u | 1 << v for u, v in induced_edges(range(8), 3)}
+    assert len(edges) == 12
+    assert set(_orbit(VertexSet.from_members([0, 1], 3))) == edges
 
 
 def test_automorphism_preserves_adjacency():
     rng = random.Random(99)
     for _ in range(100):
         n = rng.choice((2, 3, 4, 5))
-        a = random_automorphism(n, rng)
-        u, v = rng.randrange(1 << n), rng.randrange(1 << n)
-        assert adjacent(u, v, n) == adjacent(a.apply_to_vertex(u), a.apply_to_vertex(v), n)
+        u, v = rng.sample(range(1 << n), 2)
+        for img in set(_orbit(VertexSet.from_members([u, v], n))):
+            a, b = VertexSet(n, img).members()
+            assert naive_adjacent(u, v, n) == naive_adjacent(a, b, n)
 
 
 def test_automorphism_preserves_cardinality_and_edges():
     rng = random.Random(17)
     for _ in range(50):
         n = rng.choice((3, 4))
+        nbr = neighbor_masks(n)
         s = VertexSet(n, rng.randrange(1 << (1 << n)))
-        a = random_automorphism(n, rng)
-        img = apply_automorphism(s, a)
-        assert len(img) == len(s)
-        edges = lambda t: sum(
-            1 for x in t.members() for y in t.members() if x < y and adjacent(x, y, n)
-        )
-        assert edges(img) == edges(s)
+        edges = lambda mask: sum((nbr[x] & mask).bit_count() for x in VertexSet(n, mask))
+        for img in set(_orbit(s)):
+            assert img.bit_count() == len(s)
+            assert edges(img) == edges(s.mask)
 
 
 def test_canonical_form_examples():
-    assert canonical_form(VertexSet.empty(3)) == VertexSet.empty(3)
+    assert canonical_form(VertexSet(3, 0)) == VertexSet(3, 0)
     assert canonical_form(VertexSet.from_members([7], 3)).members() == [0]
-    c6a = VertexSet.full(3).remove(0).remove(7)
-    c6b = VertexSet.full(3).remove(1).remove(6)
+    c6a = VertexSet(3, 0xFF).remove(0).remove(7)
+    c6b = VertexSet(3, 0xFF).remove(1).remove(6)
     assert canonical_form(c6a) == canonical_form(c6b)
 
 
@@ -265,10 +247,12 @@ def test_canonical_form_idempotent_and_invariant():
         s = VertexSet(n, rng.randrange(1 << (1 << n)))
         canon = canonical_form(s)
         assert canonical_form(canon) == canon
-        a = random_automorphism(n, rng)
-        assert canonical_form(apply_automorphism(s, a)) == canon
+        perm = list(range(n))
+        rng.shuffle(perm)
+        image = automorphic_image(s.members(), n, perm, rng.randrange(1 << n))
+        assert canonical_form(VertexSet.from_members(image, n)) == canon
 
 
 def test_canonical_form_rejects_large_dims():
     with pytest.raises(ValueError):
-        canonical_form(VertexSet.empty(7))
+        canonical_form(VertexSet(7, 0))

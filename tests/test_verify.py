@@ -89,7 +89,7 @@ def test_proposition_golden_classification():
     assert report.details["neither"] == 0
     assert report.details["cycle_only"] == 4
     antipodal_complements = sorted(
-        VertexSet.full(3).remove(x).remove(7 - x).to_hex() for x in range(4)
+        VertexSet(3, 0xFF).remove(x).remove(7 - x).to_hex() for x in range(4)
     )
     assert sorted(report.details["cycle_only_masks"]) == antipodal_complements
 
@@ -218,6 +218,10 @@ def test_extremal_validation():
         extremal_search(3, ("C6",))
     with pytest.raises(ValueError):
         extremal_search(3, ("claw", "C5"))
+    with pytest.raises(ValueError):
+        extremal_search(4, ("claw", "claw"))
+    with pytest.raises(ValueError):
+        extremal_search(4, ("claw", "C08"))
 
 
 def test_random_agreement_smoke():
@@ -259,7 +263,7 @@ def test_monotonicity_harness():
 
         w, _ = find_witness_inductive(s)
         extra = rng.sample(labels[9:], rng.randint(0, 7))
-        superset = s.union(VertexSet.from_members(extra, 4))
+        superset = VertexSet.from_members([*s, *extra], 4)
         assert check_witness(w, superset)
 
 

@@ -15,7 +15,7 @@ from cubeclaw.detect import (
     find_theorem_witness,
 )
 from cubeclaw.errors import InsufficientCardinalityError
-from cubeclaw.hypercube import VertexSet, embed, embed_vertex
+from cubeclaw.hypercube import VertexSet, embed
 from cubeclaw.witness import (
     base_case_solve,
     base_case_solve_structured,
@@ -84,7 +84,7 @@ def test_inductive_rejects_small_sets_naming_the_bound():
         find_witness_inductive(VertexSet.from_members(EVEN_LABELS_Q4, 4))
     assert err.value.required == 9
     with pytest.raises(ValueError):
-        find_witness_inductive(VertexSet.full(3))
+        find_witness_inductive(VertexSet(3, 0xFF))
 
 
 def test_inductive_random_dimensions():
@@ -106,7 +106,7 @@ def test_witness_found_in_subcube_survives_embedding():
         w, _ = find_witness_inductive(s)
         coord, bit = rng.randint(1, 5), rng.randint(0, 1)
         ambient = embed(s, coord, bit)
-        mapper = lambda v: embed_vertex(v, coord, bit)
+        mapper = lambda v: embed(VertexSet(4, 1 << v), coord, bit).members()[0]
         if isinstance(w, Claw):
             mapped = Claw(mapper(w.center), tuple(map(mapper, w.leaves)))
         else:
@@ -115,16 +115,16 @@ def test_witness_found_in_subcube_survives_embedding():
 
 
 def test_base_case_solve_full_cube_and_errors():
-    w = base_case_solve(VertexSet.full(4))
-    assert isinstance(w, Claw) and check_witness(w, VertexSet.full(4))
+    w = base_case_solve(VertexSet(4, 0xFFFF))
+    assert isinstance(w, Claw) and check_witness(w, VertexSet(4, 0xFFFF))
     with pytest.raises(InsufficientCardinalityError):
         base_case_solve(VertexSet.from_members(EVEN_LABELS_Q4, 4))
     with pytest.raises(ValueError):
-        base_case_solve(VertexSet.full(3))
+        base_case_solve(VertexSet(3, 0xFF))
 
 
 def test_base_case_solve_accepts_oversize_sets():
-    s = VertexSet.full(4).remove(3)
+    s = VertexSet(4, 0xFFFF).remove(3)
     assert check_witness(base_case_solve(s), s)
 
 
@@ -247,7 +247,7 @@ def test_claw_free_nine_subsets_leave_one_isolated_vertex_off_their_c8():
 
 def test_structured_rejects_wrong_cardinality_or_dim():
     with pytest.raises(ValueError):
-        base_case_solve_structured(VertexSet.full(4))
+        base_case_solve_structured(VertexSet(4, 0xFFFF))
     with pytest.raises(ValueError):
         base_case_solve_structured(VertexSet.from_members(list(range(9)), 5))
 
