@@ -26,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator
 
 from .errors import SetParseError
@@ -107,14 +106,6 @@ def _iter_bits(mask: int) -> list[int]:
 
 _BYTE_BITS = tuple(tuple(_iter_bits(b)) for b in range(256))
 """Set-bit positions of every byte value."""
-
-
-def _permute_label(v: int, perm: tuple[int, ...]) -> int:
-    """The label whose bit i is bit ``perm[i]`` of ``v``."""
-    y = 0
-    for i, src in enumerate(perm):
-        y |= ((v >> src) & 1) << i
-    return y
 
 
 def hex_width(dim: int) -> int:
@@ -276,32 +267,41 @@ def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
 
 
 @lru_cache(maxsize=None)
-def _perm_label_tables(dim: int) -> tuple[tuple[int, ...], ...]:
-    # one label-permutation table per coordinate permutation
-    return tuple(
-        tuple(_permute_label(v, perm) for v in range(1 << dim))
-        for perm in permutations(range(dim))
-    )
+def _orbit_steps(dim: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """``_orbit``'s (shift, select) delta swaps: the identity and Heap's
+    transpositions of coordinates p < q; then the Gray-code flips' block swaps."""
+    low = [_build_block_mask(1 << dim, 1 << t) for t in range(dim)]
+    pairs = []
+    for q in range(1, dim):  # Heap's order on coordinates 0..q, from that on 0..q-1
+        pairs = [pair for p in range(q) for pair in (*pairs, (p if q % 2 else 0, q))] + pairs
+    swaps = [((1 << q) - (1 << p), (low[p] << (1 << p)) & low[q]) for p, q in pairs]
+    flips = [(k & -k, low[(k & -k).bit_length() - 1]) for k in range(1, 1 << dim)]
+    return ((0, 0), *swaps), tuple(flips)
 
 
 def _orbit(s: VertexSet) -> list[int]:
     """Masks of all 2^n * n! automorphic images of ``s``, with repeats.
 
     A cube automorphism permutes the coordinates, then complements some
-    of them.  The package's one orbit scan: ``canonical_form`` takes its least
-    element, and the symmetry-reduced theorem check marks every element
-    as seen so that each class is scanned once.
+    of them, so it permutes the mask's bits.  The walk takes the n!
+    permutations in Heap's order (Heap, *Computer J.* 6, 1963) and under
+    each the 2^n complements in Gray-code order, so each image is one
+    transposition or one flip from the last: one delta swap on the mask
+    (Knuth, *TAOCP* 4A §7.1.3), a constant number of mask operations with
+    no per-member work.  The package's one orbit scan: ``canonical_form``
+    takes its least element, and the symmetry-reduced theorem check marks
+    every element as seen so that each class is scanned once.
     """
-    members = s.members()
-    nverts = 1 << s.dim
+    swaps, flips = _orbit_steps(s.dim)
+    x = s.mask
     images = []
-    for table in _perm_label_tables(s.dim):
-        permuted = [table[v] for v in members]
-        for c in range(nverts):
-            img = 0
-            for y in permuted:
-                img |= 1 << (y ^ c)
-            images.append(img)
+    for shift, select in swaps:
+        t = (x ^ x >> shift) & select
+        x ^= t | t << shift
+        images.append(x)
+        for block, low in flips:
+            x = (x >> block & low) | (x & low) << block
+            images.append(x)
     return images
 
 

@@ -191,14 +191,13 @@ def _theorem_chunk(params, start, stop):
         seen = bytearray(1 << 16)
         verdicts = []
     for mask in _subsets(size, 16, start, stop):
-        s = VertexSet(4, mask)
         details = None
         if symmetry_reduced:
             # orbit marking: the first subset of a class met in this chunk
             # scans its orbit once and marks every image; the least image
             # is the class key.  A chunk starting mid-orbit rescans it itself.
             if not seen[mask]:
-                orbit = _orbit(s)
+                orbit = _orbit(VertexSet(4, mask))
                 canon = VertexSet(4, min(orbit))
                 w = find_theorem_witness(canon)
                 verdicts.append(w is not None and check_witness(w, canon))
@@ -207,9 +206,10 @@ def _theorem_chunk(params, start, stop):
                 details = {"class_orbits": [[canon.to_hex(), len(set(orbit))]]}
             ok = verdicts[seen[mask] - 1]
         else:
+            s = VertexSet(4, mask)
             w = find_theorem_witness(s)
             ok = w is not None and check_witness(w, s)
-        yield ok, None if ok else s.to_hex(), details
+        yield ok, None if ok else VertexSet(4, mask).to_hex(), details
 
 
 def _proposition_chunk(params, start, stop):

@@ -3,6 +3,7 @@ members, buffer-built masks, the table-free witness validator, and
 extraction at the advertised dimension cap."""
 
 import json
+import math
 import random
 import time
 from itertools import combinations
@@ -272,6 +273,25 @@ def test_block_mask_cache_stops_at_its_width(monkeypatch):
     widths = {nbits for nbits, _ in hypercube._block_masks}
     assert max(widths) == hypercube._BLOCK_MASK_CACHE_BITS == 1 << 16
     assert len(hypercube._block_masks) == sum(range(5, 17))  # every split from Q_16 down
+
+
+def test_orbit_and_canonical_form_work_on_the_mask(monkeypatch):
+    rng = random.Random(41)
+    cases = [VertexSet(n, rng.randrange(1 << (1 << n))) for n in range(1, 7)]
+    expected = [(sorted(hypercube._orbit(s)), hypercube.canonical_form(s)) for s in cases]
+
+    def no_members(self):
+        raise AssertionError("a whole-set operation listed the members")
+
+    monkeypatch.setattr(VertexSet, "members", no_members)
+    for s, (orbit, canon) in zip(cases, expected):
+        assert sorted(hypercube._orbit(s)) == orbit
+        assert hypercube.canonical_form(s) == canon
+    for n in range(1, 7):  # a single vertex maps to every vertex, n! times each
+        assert sorted(hypercube._orbit(VertexSet(n, 1 << (n - 1)))) == sorted(
+            1 << v for v in range(1 << n) for _ in range(math.factorial(n))
+        )
+        assert hypercube.canonical_form(VertexSet(n, 1 << (n - 1))) == VertexSet(n, 1)
 
 
 def test_even_half_spread_is_the_embedding():

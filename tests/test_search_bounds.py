@@ -2,6 +2,7 @@
 symmetry-reduced theorem check."""
 
 import math
+import random
 from dataclasses import replace
 from itertools import permutations
 
@@ -73,14 +74,19 @@ def test_half_cap_cuts_the_n5_search():
 
 
 def test_orbit_is_every_automorphic_image():
-    s = VertexSet.from_members([0, 1, 3, 6], 3)
-    images = {
-        sum(1 << v for v in automorphic_image(s.members(), 3, perm, flips))
-        for perm in permutations(range(3))
-        for flips in range(8)
-    }
-    assert len(_orbit(s)) == 48 and set(_orbit(s)) == images
-    assert canonical_form(s).mask == min(images)
+    # the multiset: every (perm, flips) pair gives one image, repeats kept
+    rng = random.Random(23)
+    for n in range(1, 6):
+        full = (1 << (1 << n)) - 1
+        for mask in (0, full, *(rng.randrange(full + 1) for _ in range(3 if n < 5 else 1))):
+            s = VertexSet(n, mask)
+            images = [
+                sum(1 << v for v in automorphic_image(s.members(), n, perm, flips))
+                for perm in permutations(range(n))
+                for flips in range(1 << n)
+            ]
+            assert sorted(_orbit(s)) == sorted(images), (n, mask)
+            assert canonical_form(s).mask == min(images)
 
 
 def test_symmetry_reduced_split_across_two_workers(monkeypatch):
@@ -107,6 +113,24 @@ def test_mid_orbit_chunk_keys_are_canonical_forms():
     # one pair per class the chunk meets, keyed by its canonical form
     assert len(details["class_orbits"]) == len(expected)
     assert dict(details["class_orbits"]) == expected
+
+
+def test_symmetry_reduced_and_raw_runs_agree_on_failures(monkeypatch):
+    # every subset in the class of 01FF loses its witness; the reduced run
+    # names its counterexamples from the mask alone
+    key = canonical_form(VertexSet(4, 0x1FF))
+    bad = set(_orbit(key))
+    real = verify_mod.find_theorem_witness
+    monkeypatch.setattr(
+        verify_mod, "find_theorem_witness", lambda s: None if s.mask in bad else real(s)
+    )
+    raw = verify_theorem_exhaustive(4, 9)
+    reduced = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)
+    assert raw.failed == reduced.failed == len(bad)
+    assert raw.counterexamples == reduced.counterexamples
+    assert len(raw.counterexamples) == verify_mod.COUNTEREXAMPLE_CAP
+    assert raw.counterexamples[0] == "01FF"
+    assert raw.deterministic_digest == reduced.deterministic_digest
 
 
 def test_orbit_accounting_catches_a_foreign_image(monkeypatch):
