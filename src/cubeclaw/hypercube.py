@@ -89,12 +89,12 @@ def vertex_from_text(text: str, dim: int) -> int:
 def _iter_bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending.
 
-    The package's one set-bit list (Warren, *Hacker's Delight* §2-1).  It
-    returns a list rather than a generator because the extremal search
-    calls it millions of times on masks of at most three bits, where
-    generator overhead dominates.  ``detect.claw_center`` (an early-exit
-    walk) and ``detect.claw_at`` (three ``x & (x - 1)`` picks) peel bits
-    inline: they stop after a few bits, so a full list would cost more.
+    The package's one set-bit list (Warren, *Hacker's Delight* §2-1), for
+    the path walk of ``detect.find_induced_cycle`` and the import-time
+    tables ``_BYTE_BITS`` and ``witness._EVEN_HALF_SPREAD``.
+    ``detect.claw_center`` (an early-exit walk), ``detect.claw_at`` (three
+    ``x & (x - 1)`` picks) and the extremal search in ``verify._max_free``
+    (lowest and highest bit) peel bits inline: they need only a few bits.
     """
     out = []
     while mask:

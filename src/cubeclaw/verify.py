@@ -61,7 +61,7 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _block_mask, _iter_bits, _orbit, neighbor_masks
+from .hypercube import VertexSet, _block_mask, _orbit, neighbor_masks
 from .witness import (
     _EVEN_HALF_Q4,
     _EVEN_HALF_SPREAD,
@@ -575,6 +575,8 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     undecided vertices cannot lift the current count past the best, or
     when the two halves of some coordinate split cannot.  Every cut is
     read off the mask of chosen vertices, so no node keeps state to undo.
+    An include child inherits its parent's passed bounds unless a better set
+    was found in between, and the half cap is one slack test per split.
     Before returning, the detectors confirm that the certificate has
     ``max_size`` members, no claw and no induced C_k, or
     ``TheoremViolationError`` is raised.
@@ -616,54 +618,61 @@ def _max_free(n: int, k: int) -> ExtremalResult:
     nodes = 0
     cuts = dict.fromkeys(("claw_degree", "closed_cycle", "count_bound", "half_cap"), 0)
 
-    def dfs(v: int, count: int, chosen: int) -> None:
+    def dfs(v: int, count: int, chosen: int, tested: int) -> None:
+        # tested: the best_size under which an include child's parent passed the bounds, else -1
         nonlocal best_size, best_mask, nodes
         nodes += 1
-        if count + v + 1 <= best_size:
-            cuts["count_bound"] += 1
-            return
+        if tested != best_size:
+            total = count + v + 1
+            if total <= best_size:
+                cuts["count_bound"] += 1
+                return
+            if v >= 0 and half_cap is not None:
+                # avail: the chosen and the undecided vertices.  As total >
+                # best_size, min(share, half_cap) over both halves sums past it
+                # unless 2 * half_cap <= best_size or one share is at most slack.
+                slack = best_size - half_cap
+                if slack >= half_cap:
+                    cuts["half_cap"] += 1
+                    return
+                avail = chosen | ((2 << v) - 1)
+                for half in halves:
+                    side1 = (avail & half).bit_count()
+                    if side1 <= slack or total - side1 <= slack:
+                        cuts["half_cap"] += 1
+                        return
+            tested = best_size
         if v < 0:
             best_size = count
             best_mask = chosen
             return
-        if half_cap is not None:
-            # avail: the chosen and the undecided vertices.  Each half of
-            # the split on bit j can still end with at most
-            # min(its share of avail, half_cap) vertices.
-            avail = chosen | ((2 << v) - 1)
-            for half in halves:
-                side1 = (avail & half).bit_count()
-                side0 = count + v + 1 - side1
-                if (
-                    (side0 if side0 < half_cap else half_cap)
-                    + (side1 if side1 < half_cap else half_cap)
-                    <= best_size
-                ):
-                    cuts["half_cap"] += 1
-                    return
 
-        dfs(v - 1, count, chosen)
+        dfs(v - 1, count, chosen, -1)
 
-        # v's chosen neighbors are pairwise non-adjacent: taking v makes a
-        # claw if it has three, or if one of them already has two
-        us = _iter_bits(nbr[v] & chosen)
-        if len(us) > 2:
-            cuts["claw_degree"] += 1
-            return
-        for u in us:
-            if (nbr[u] & chosen).bit_count() == 2:
+        # taking v makes a claw if hood, its pairwise non-adjacent chosen neighbors,
+        # has three bits, or if its lowest or highest bit already has two
+        hood = nbr[v] & chosen
+        if hood:
+            degree = hood.bit_count()
+            u1 = (hood & -hood).bit_length() - 1
+            u2 = hood.bit_length() - 1
+            if (
+                degree > 2
+                or (nbr[u1] & chosen).bit_count() == 2
+                or (nbr[u2] & chosen).bit_count() == 2
+            ):
                 cuts["claw_degree"] += 1
                 return
-        # joining the two ends u1 < u2 of one chosen path closes a cycle
-        if len(us) == 2:
-            path = _path_from(us[0], chosen, n)
-            if path[-1] == us[1] and len(path) == k - 1:
-                cuts["closed_cycle"] += 1
-                return
+            # joining the two ends u1 < u2 of one chosen path closes a cycle
+            if degree == 2:
+                path = _path_from(u1, chosen, n)
+                if path[-1] == u2 and len(path) == k - 1:
+                    cuts["closed_cycle"] += 1
+                    return
 
-        dfs(v - 1, count + 1, chosen | (1 << v))
+        dfs(v - 1, count + 1, chosen | (1 << v), tested)
 
-    dfs(nverts - 1, 0, 0)
+    dfs(nverts - 1, 0, 0, -1)
     certificate = VertexSet(n, best_mask)
     if not (
         len(certificate) == best_size

@@ -47,6 +47,34 @@ def test_extremal_certificates_and_oracle_check():
         assert result.metrics["prunes"] == dict(zip(kinds, prunes))
 
 
+def test_search_trees_below_the_supported_range():
+    # (4, 4) and (4, 6) are outside extremal_search's range; (5, 6) raises
+    # best_size from 15 to 16, so include children re-test inherited bounds
+    kinds = ("claw_degree", "closed_cycle", "count_bound", "half_cap")
+    for n, k, size, cert, nodes, cap, prunes in [
+        (4, 4, 9, "1EE6", 3918, 6, (1120, 21, 1152, 235)),
+        (4, 6, 9, "1EE6", 659, 5, (186, 4, 14, 219)),
+        (5, 6, 16, "0FF0F00F", 203127, 9, (80996, 144, 11358, 49635)),
+    ]:
+        result = verify_mod._max_free(n, k)
+        assert (result.max_size, result.certificate.to_hex()) == (size, cert)
+        assert (result.nodes_explored, result.half_cap) == (nodes, cap)
+        assert result.metrics["prunes"] == dict(zip(kinds, prunes))
+
+
+def test_half_cap_slack_test_equals_the_clamped_sum():
+    # once total > best, min(side0, cap) + min(side1, cap) <= best holds
+    # exactly when 2 * cap <= best or one side is at most best - cap
+    for cap in range(17):
+        for best in range(33):
+            slack = best - cap
+            for total in range(best + 1, 34):
+                for side1 in range(total + 1):
+                    side0 = total - side1
+                    clamped = min(side0, cap) + min(side1, cap) <= best
+                    assert clamped == (slack >= cap or side1 <= slack or side0 <= slack)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_half_cap_is_the_search_one_dimension_down(n):
     assert extremal_search(n).half_cap == extremal_search(n - 1).max_size
