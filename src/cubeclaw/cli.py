@@ -218,6 +218,7 @@ def run(args: argparse.Namespace) -> int:
         if args.method == "bruteforce" and not lo <= args.n <= hi:
             raise ValueError(f"--method bruteforce supports n in {lo}..{hi}, got {args.n}")
         s = _load_set(args)
+        document: dict = {"method": args.method, "set": s.to_hex(), "witness": None}
         case = None
         trace = None
         if args.method == "inductive":
@@ -227,12 +228,12 @@ def run(args: argparse.Namespace) -> int:
         else:
             w = find_theorem_witness(s)
             if w is None:
-                print("no witness: the set contains neither a claw nor an induced 8-cycle")
+                absent = "no witness: the set contains neither a claw nor an induced 8-cycle"
+                _emit(args, document, absent)
                 return 1
         if not check_witness(w, s):
             raise TheoremViolationError("extracted witness failed validation", s.dim, s.mask)
-        text = witness_to_text(w, s.dim)
-        document: dict = {"witness": text, "method": args.method, "set": s.to_hex()}
+        text = document["witness"] = witness_to_text(w, s.dim)
         lines = [text]
         if case is not None:
             document["case"] = case

@@ -7,10 +7,12 @@ pass/fail stream into a report.  Work is split across workers by
 contiguous ranges of the enumeration index and reassembled in order, so
 the report's digest is bit-identical for any worker count.  Each check is
 one module-level generator, ``_<check>_chunk(params, start, stop)``, that
-yields ``(ok, counterexample, details)`` for each index in [start, stop);
-the runner is handed the generator itself, which a process pool pickles
-by name.  A chunk's details hold only what its run decides: a fact its
-inputs already fix is set on the report by the check that builds them.
+yields ``(failure, fact)`` for each index in [start, stop): ``failure``
+is the configuration's hex label if it fails, else None, and ``fact`` is
+None or one picklable value that the check folds into its ``details``.
+The runner is handed the generator itself, which a process pool pickles
+by name.  A fact holds only what its run decides; one its inputs fix is
+set on the report by the check.
 
 The checks:
 
@@ -46,6 +48,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
@@ -71,6 +74,9 @@ from .witness import (
 )
 
 COUNTEREXAMPLE_CAP = 16
+
+# what fired in a Q_3 six-subset, indexed by 2 * has_claw + has_c6
+_PROPOSITION_KINDS = ("neither", "cycle_only", "claw_only", "claw_and_cycle")
 
 # Closed ranges (lo, hi) the checks accept, which the CLI help names too:
 # Q_4 subset sizes, random-test dimensions, claw+C8 extremal dimensions,
@@ -178,7 +184,7 @@ def _half_subsets(size: int, side: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # checks: one module-level (so picklable) chunk generator per check, which
-# yields (ok, counterexample, details) for each index in [start, stop)
+# yields (failure, fact) for each index in [start, stop)
 # ---------------------------------------------------------------------------
 
 def _theorem_chunk(params, start, stop):
@@ -191,7 +197,7 @@ def _theorem_chunk(params, start, stop):
         seen = bytearray(1 << 16)
         verdicts = []
     for mask in _subsets(size, 16, start, stop):
-        details = None
+        fact = None
         if symmetry_reduced:
             # orbit marking: the first subset of a class met in this chunk
             # scans its orbit once and marks every image; the least image
@@ -203,13 +209,13 @@ def _theorem_chunk(params, start, stop):
                 verdicts.append(w is not None and check_witness(w, canon))
                 for img in orbit:
                     seen[img] = len(verdicts)
-                details = {"class_orbits": [[canon.to_hex(), len(set(orbit))]]}
+                fact = (canon.to_hex(), len(set(orbit)))
             ok = verdicts[seen[mask] - 1]
         else:
             s = VertexSet(4, mask)
             w = find_theorem_witness(s)
             ok = w is not None and check_witness(w, s)
-        yield ok, None if ok else VertexSet(4, mask).to_hex(), details
+        yield None if ok else VertexSet(4, mask).to_hex(), fact
 
 
 def _proposition_chunk(params, start, stop):
@@ -217,27 +223,15 @@ def _proposition_chunk(params, start, stop):
         s = VertexSet(3, mask)
         claw = find_claw(s) is not None
         cycle = find_induced_cycle(s, 6) is not None
-        ok = claw or cycle
-        key = (
-            "claw_and_cycle"
-            if claw and cycle
-            else "claw_only"
-            if claw
-            else "cycle_only"
-            if cycle
-            else "neither"
-        )
-        details = {key: 1}
-        if key == "cycle_only":
-            details["cycle_only_masks"] = [s.to_hex()]
-        yield ok, None if ok else s.to_hex(), details
+        label = s.to_hex()
+        yield None if claw or cycle else label, (_PROPOSITION_KINDS[2 * claw + cycle], label)
 
 
 def _case1_chunk(params, start, stop):
     for index in range(start, stop):
         full = _EVEN_HALF_Q4 | 1 << (2 * index + 1)
         ok = all(claw_center(full, 1 << v, 4) is not None for v in range(0, 16, 2))
-        yield ok, None if ok else VertexSet(4, full).to_hex(), None
+        yield None if ok else VertexSet(4, full).to_hex(), None
 
 
 def _case23_chunk(params, start, stop):
@@ -247,19 +241,19 @@ def _case23_chunk(params, start, stop):
         big = bigs[i]
         full = big | smalls[j]
         ok = claw_center(full, big, 4) is not None
-        yield ok, None if ok else VertexSet(4, full).to_hex(), None
+        yield None if ok else VertexSet(4, full).to_hex(), None
 
 
 def _case4_structure_chunk(params, start, stop):
     for mask, shape in params[0][start:stop]:
         ok = (claw_center(mask, mask, 4) is None) == (shape.kind is FiveSetKind.PATH_P5)
-        yield ok, None if ok else VertexSet(4, mask).to_hex(), None
+        yield None if ok else VertexSet(4, mask).to_hex(), None
 
 
 def _case4_admissible_chunk(params, start, stop):
     for big, choices in params[0][start:stop]:
         ok = len(choices) == 5
-        yield ok, None if ok else VertexSet(4, big).to_hex(), None
+        yield None if ok else VertexSet(4, big).to_hex(), None
 
 
 def _case4_outcomes_chunk(params, start, stop):
@@ -268,10 +262,9 @@ def _case4_outcomes_chunk(params, start, stop):
         w, z = resolve_five_four(full, VertexSet(4, small)) or (None, None)
         # a cycle induced in full minus z is induced in full as well
         if w is not None and check_witness(w, full if z is None else full.remove(z)):
-            kind = "claw" if z is None else "cycle"
-            yield True, None, {"outcome_kinds": [[placement_idx, kind]]}
+            yield None, (placement_idx, 0 if z is None else 1)  # claw, cycle
         else:
-            yield False, full.to_hex(), None
+            yield full.to_hex(), None
 
 
 def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
@@ -326,10 +319,7 @@ def _random_agreement_chunk(params, start, stop):
                 cause = None
         except TheoremViolationError as exc:
             cause = type(exc).__name__
-        if cause is None:
-            yield True, None, None
-        else:
-            yield False, s.to_hex(), {"failure_causes": {cause: 1}}
+        yield None if cause is None else s.to_hex(), cause
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +327,17 @@ def _random_agreement_chunk(params, start, stop):
 # ---------------------------------------------------------------------------
 
 
-def _merge_details(acc: dict, extra: Optional[dict]) -> None:
-    if not extra:
-        return
-    for key, val in extra.items():
-        if isinstance(val, int):
-            acc[key] = acc.get(key, 0) + val
-        elif isinstance(val, list):
-            acc.setdefault(key, []).extend(val)
-        else:
-            _merge_details(acc.setdefault(key, {}), val)
-
-
 def _run_chunk(chunk, params: tuple, start: int, stop: int):
     outcomes = bytearray()
     counterexamples: list[str] = []
-    details: dict = {}
-    for ok, cex, extra in chunk(params, start, stop):
-        outcomes.append(49 if ok else 48)  # b"1" / b"0"
-        if not ok and cex is not None and len(counterexamples) < COUNTEREXAMPLE_CAP:
-            counterexamples.append(cex)
-        _merge_details(details, extra)
-    return bytes(outcomes), outcomes.count(49), counterexamples, details
+    facts: list = []
+    for failure, fact in chunk(params, start, stop):
+        outcomes.append(48 if failure else 49)  # b"0" / b"1"
+        if failure and len(counterexamples) < COUNTEREXAMPLE_CAP:
+            counterexamples.append(failure)
+        if fact is not None:
+            facts.append(fact)
+    return bytes(outcomes), counterexamples, facts
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -371,7 +350,8 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 def _run_check(
     check_name: str, chunk, params: tuple, total: int, workers: int
-) -> VerificationReport:
+) -> tuple[VerificationReport, list]:
+    """The check's report, its ``details`` empty, and its facts in enumeration order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
@@ -385,14 +365,14 @@ def _run_check(
                 pool.submit(_run_chunk, chunk, params, lo, hi) for lo, hi in spans
             ]
             chunks = [f.result() for f in futures]
-    stream = b"".join(c[0] for c in chunks)
-    passed = sum(c[1] for c in chunks)
+    stream = b"".join(outcomes for outcomes, _, _ in chunks)
+    passed = stream.count(b"1")
     counterexamples: list[str] = []
-    details: dict = {}
-    for c in chunks:
-        counterexamples.extend(c[2][: COUNTEREXAMPLE_CAP - len(counterexamples)])
-        _merge_details(details, c[3])
-    return VerificationReport(
+    facts: list = []
+    for _, chunk_counterexamples, chunk_facts in chunks:
+        counterexamples.extend(chunk_counterexamples[: COUNTEREXAMPLE_CAP - len(counterexamples)])
+        facts.extend(chunk_facts)
+    report = VerificationReport(
         check_name=check_name,
         universe_size=total,
         passed=passed,
@@ -401,8 +381,8 @@ def _run_check(
         wall_time=time.perf_counter() - t0,
         worker_count=workers,
         deterministic_digest=hashlib.sha256(stream).hexdigest(),
-        details=details,
     )
+    return report, facts
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +414,10 @@ def verify_theorem_exhaustive(
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
     total = math.comb(16, size)
     name = f"theorem-exhaustive-n4-size{size}"
-    report = _run_check(name, _theorem_chunk, (size, symmetry_reduced), total, workers)
+    report, facts = _run_check(name, _theorem_chunk, (size, symmetry_reduced), total, workers)
     if symmetry_reduced:
         # two chunks can meet the same class, so pairs are deduped by key
-        orbit_sizes = dict(report.details.pop("class_orbits", []))
+        orbit_sizes = dict(facts)
         report.details["distinct_classes"] = len(orbit_sizes)
         report.details["orbit_accounting_total"] = sum(orbit_sizes.values())
     return report
@@ -446,11 +426,11 @@ def verify_theorem_exhaustive(
 def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
     """Check all 28 six-vertex subsets of Q_3 for a claw or induced 6-cycle,
     classifying which condition fired for each."""
-    total = math.comb(8, 6)
-    report = _run_check("proposition-exhaustive-q3-size6", _proposition_chunk, (), total, workers)
-    for key in ("claw_and_cycle", "claw_only", "cycle_only", "neither"):
-        report.details.setdefault(key, 0)
-    report.details.setdefault("cycle_only_masks", [])
+    name, total = "proposition-exhaustive-q3-size6", math.comb(8, 6)
+    report, facts = _run_check(name, _proposition_chunk, (), total, workers)
+    kinds = Counter(kind for kind, _ in facts)
+    report.details = {kind: kinds[kind] for kind in _PROPOSITION_KINDS}
+    report.details["cycle_only_masks"] = [label for kind, label in facts if kind == "cycle_only"]
     return report
 
 
@@ -465,13 +445,13 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
     reports: list[VerificationReport] = []
 
     if case in (1, "all"):
-        reports.append(_run_check("case1-full-half-claw-centers", _case1_chunk, (), 8, workers))
+        reports.append(_run_check("case1-full-half-claw-centers", _case1_chunk, (), 8, workers)[0])
 
     for split, big_size in ((2, 7), (3, 6)):
         if case in (split, "all"):
             bigs, smalls = _half_subsets(big_size, 0), _half_subsets(9 - big_size, 1)
             name = f"case{split}-split-{big_size}-{9 - big_size}-claw-center"
-            r = _run_check(name, _case23_chunk, (bigs, smalls), len(bigs) * len(smalls), workers)
+            r, _ = _run_check(name, _case23_chunk, (bigs, smalls), len(bigs) * len(smalls), workers)
             # the half-only reading depends on the big half alone
             half_only = sum(claw_center(big, big, 4) is None for big in bigs)
             r.details["subcube_only_failures"] = half_only * len(smalls)
@@ -489,12 +469,12 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
                 placements.append((big, [small for small in fours if not small & partners]))
 
         name = "case4-max-degree-2-is-path"
-        r1 = _run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers)
+        r1, _ = _run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers)
         r1.details["p5_placements"] = len(placements)
         reports.append(r1)
 
         name = "case4-admissible-choice-count"
-        r2 = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
+        r2, _ = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
         r2.details["admissible_counts"] = [len(choices) for _, choices in placements]
         reports.append(r2)
 
@@ -502,12 +482,10 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
             (idx, big, small) for idx, (big, choices) in enumerate(placements) for small in choices
         )
         name = "case4-claw-or-cycle-outcomes"
-        r3 = _run_check(name, _case4_outcomes_chunk, (pairs,), len(pairs), workers)
-        splits: dict[int, list[int]] = {}
-        for placement_idx, kind in r3.details.pop("outcome_kinds", []):
-            claws_cycles = splits.setdefault(placement_idx, [0, 0])
-            claws_cycles[0 if kind == "claw" else 1] += 1
-        per_placement = [splits.get(i, [0, 0]) for i in range(len(placements))]
+        r3, facts = _run_check(name, _case4_outcomes_chunk, (pairs,), len(pairs), workers)
+        per_placement = [[0, 0] for _ in placements]  # [claws, cycles]
+        for placement_idx, is_cycle in facts:
+            per_placement[placement_idx][is_cycle] += 1
         r3.details["per_placement_split"] = per_placement
         r3.details["all_split_4_to_1"] = all(s == [4, 1] for s in per_placement)
         reports.append(r3)
@@ -535,13 +513,10 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
         raise ValueError(f"random agreement test supports n in {lo}..{hi}, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    report = _run_check(
-        f"random-agreement-n{n}-trials{trials}-seed{seed}",
-        _random_agreement_chunk,
-        (n, seed),
-        trials,
-        workers,
-    )
+    name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
+    report, causes = _run_check(name, _random_agreement_chunk, (n, seed), trials, workers)
+    if causes:
+        report.details["failure_causes"] = dict(Counter(causes))
     report.details["generator"] = RANDOM_GENERATOR_NOTE
     report.details["seed"] = seed
     return report

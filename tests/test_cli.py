@@ -205,6 +205,37 @@ def test_cli_witness_bruteforce_absence(capsys):
     assert "no witness" in out
 
 
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-theorem", "--size", "15"], 0),
+        (["verify-proposition"], 0),
+        (["verify-cases", "--case", "1"], 0),
+        (["witness", "--n", "4", "--hex", "01FF"], 0),
+        (["extremal", "--n", "3"], 0),
+        (["random-test", "--n", "4", "--trials", "3"], 0),
+        (["witness", "--n", "4", "--hex", "0055", "--method", "bruteforce"], 1),
+    ],
+    ids=[
+        "verify-theorem",
+        "verify-proposition",
+        "verify-cases",
+        "witness",
+        "extremal",
+        "random-test",
+        "witness-absent",
+    ],
+)
+def test_cli_json_is_one_document_and_the_output_file(tmp_path, capsys, argv, code):
+    report_file = tmp_path / "out.json"
+    status, out, _ = run_cli(capsys, *argv, "--format", "json", "--output", str(report_file))
+    assert status == code
+    doc = json.loads(out)  # raises unless stdout is exactly one document
+    assert report_file.read_text() == out
+    if code:
+        assert doc == {"method": "bruteforce", "set": "0055", "witness": None}
+
 def test_cli_witness_bruteforce_dimension_cap(capsys):
     s = VertexSet.from_members(range(1 << 12), 13)
     code, _, err = run_cli(

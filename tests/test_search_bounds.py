@@ -130,8 +130,8 @@ def test_symmetry_reduced_split_across_two_workers(monkeypatch):
 
 def test_mid_orbit_chunk_keys_are_canonical_forms():
     start, stop = math.comb(16, 9) // 2, math.comb(16, 9) // 2 + 60
-    _, passed, _, details = _run_chunk(_theorem_chunk, (9, True), start, stop)
-    assert passed == stop - start
+    outcomes, counterexamples, facts = _run_chunk(_theorem_chunk, (9, True), start, stop)
+    assert outcomes == b"1" * (stop - start) and counterexamples == []
     mask = unrank_subset(start, 9, 16)
     expected = {}
     for _ in range(start, stop):
@@ -139,8 +139,8 @@ def test_mid_orbit_chunk_keys_are_canonical_forms():
         expected[canon.to_hex()] = len(set(_orbit(canon)))
         mask = gosper_next(mask)
     # one pair per class the chunk meets, keyed by its canonical form
-    assert len(details["class_orbits"]) == len(expected)
-    assert dict(details["class_orbits"]) == expected
+    assert len(facts) == len(expected)
+    assert dict(facts) == expected
 
 
 def test_symmetry_reduced_and_raw_runs_agree_on_failures(monkeypatch):

@@ -11,6 +11,7 @@ from cubeclaw.errors import TheoremViolationError
 from cubeclaw.hypercube import VertexSet, _iter_bits
 from cubeclaw.verify import (
     random_agreement_test,
+    verify_case_claims,
     verify_proposition_exhaustive,
     verify_theorem_exhaustive,
 )
@@ -185,3 +186,69 @@ def test_symmetry_reduced_theorem_report_is_worker_invariant(monkeypatch):
         split = verify_theorem_exhaustive(4, 9, workers=k, symmetry_reduced=True)
         assert split.deterministic_digest == serial.deterministic_digest
         assert split.details == serial.details
+
+
+def _without_run_fields(report):
+    return {k: v for k, v in report.to_dict().items() if k not in ("wall_time", "worker_count")}
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda workers: [verify_theorem_exhaustive(4, 9, workers=workers)],
+        lambda workers: [verify_theorem_exhaustive(4, 9, workers, symmetry_reduced=True)],
+        lambda workers: [verify_proposition_exhaustive(workers)],
+        lambda workers: verify_case_claims("all", workers),
+        lambda workers: [random_agreement_test(5, 40, seed=3, workers=workers)],
+    ],
+    ids=["theorem", "theorem-symmetry-reduced", "proposition", "cases", "random-agreement"],
+)
+def test_every_report_is_worker_invariant(monkeypatch, check):
+    # everything but the run's own time and worker count, details included
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    serial = [_without_run_fields(r) for r in check(1)]
+    split = [_without_run_fields(r) for r in check(3)]
+    assert split == serial
+
+
+def _flaky_chunk(params, start, stop):
+    # every third index fails; every fifth yields its index as a fact
+    for index in range(start, stop):
+        yield None if index % 3 else f"{index:04X}", index if index % 5 == 0 else None
+
+
+def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
+    # the first span (0, 34) holds 12 failures, so the 16-entry cap is
+    # filled across a span boundary
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    InlinePool.spans = []
+    serial, serial_facts = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 1)
+    split, split_facts = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 3)
+    assert InlinePool.spans == [(0, 34), (34, 67), (67, 100)]
+    assert split.counterexamples == serial.counterexamples == [f"{3 * i:04X}" for i in range(16)]
+    assert split.failed == serial.failed == 34
+    assert split_facts == serial_facts == list(range(0, 100, 5))
+
+
+def test_random_agreement_failures_keep_trial_order(monkeypatch):
+    # trials fail by the mask they draw, with two different causes
+    real = verify_mod.find_witness_inductive
+
+    def patchy(s):
+        if s.mask % 3 == 0:
+            raise TheoremViolationError("injected", s.dim, s.mask)
+        if s.mask % 3 == 1:
+            return Claw(0, (0, 0, 0)), ExtractionTrace((), "brute-force")
+        return real(s)
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", patchy)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    serial = random_agreement_test(5, 40, seed=3, workers=1)
+    split = random_agreement_test(5, 40, seed=3, workers=3)
+    causes = serial.details["failure_causes"]
+    assert set(causes) == {"TheoremViolationError", "invalid_witness"}
+    assert serial.failed == sum(causes.values()) > 16
+    assert len(serial.counterexamples) == 16
+    assert split.failed == serial.failed
+    assert split.counterexamples == serial.counterexamples
+    assert split.details["failure_causes"] == causes

@@ -275,10 +275,10 @@ def test_runner_failure_reporting():
 
     def flaky_chunk(params, start, stop):
         for index in range(start, stop):
-            ok = index % 3 != 0
-            yield ok, None if ok else f"{index:04X}", None
+            yield None if index % 3 else f"{index:04X}", None
 
-    report = verify_mod._run_check("flaky-check", flaky_chunk, (), 100, workers=1)
+    report, facts = verify_mod._run_check("flaky-check", flaky_chunk, (), 100, workers=1)
+    assert facts == []
     assert report.universe_size == 100
     assert report.passed + report.failed == 100
     assert report.failed == 34
