@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -48,17 +49,26 @@ from .witness import base_case_solve_structured, find_witness_inductive
 
 
 _LINE_BLOCK = 1 << 16
-"""Characters of input read and split into lines at a time by ``_lines``."""
+"""Characters of input read at a time and cut into whole lines by ``_pieces``."""
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+"""Maps the binary digit characters to the bit values 0 and 1."""
+
+_ONE_HOT = bytes(1 << (b & 7) for b in range(256))
+"""Maps v & 7 to vertex v's bit within its mask byte."""
+
+_UINT32 = next(code for code in "IL" if memoryview(bytes(8)).cast(code).itemsize == 4)
+"""The ``memoryview`` format of native 4-byte unsigned integers."""
 
 
-def _lines(blocks):
-    """The lines of the concatenated text blocks exactly as
-    ``"".join(blocks).splitlines()`` gives them, without joining them.
+def _pieces(blocks):
+    """The concatenated text blocks as pieces of whole lines.
 
-    Each block is split just after its last newline and the rest is
-    carried into the next block.  splitlines always breaks after a
-    "\n" (a "\r\n" pair stays on one side), so the pieces' lines
-    concatenate to the whole text's.
+    Each block is cut just after its last newline and the rest is
+    carried into the next piece; text after the last newline is the
+    last piece.  splitlines always breaks after a "\n" (a "\r\n" pair
+    stays on one side), so the pieces' lines concatenate to
+    ``"".join(blocks).splitlines()``.
     """
     carry = ""
     for block in blocks:
@@ -66,9 +76,10 @@ def _lines(blocks):
         if not cut:
             carry += block
             continue
-        yield from (carry + block[:cut]).splitlines()
+        yield carry + block[:cut]
         carry = block[cut:]
-    yield from carry.splitlines()
+    if carry:
+        yield carry
 
 
 def parse_set(text: str, n: int) -> VertexSet:
@@ -85,30 +96,36 @@ def parse_set(text: str, n: int) -> VertexSet:
 def _parse_blocks(blocks, n: int) -> VertexSet:
     """``parse_set`` over text given as consecutive blocks.
 
-    Binary lines are read in one pass that sets each vertex's bit as its
-    line is read, so beside one block (or one line, if longer) only the
-    2^n-bit mask is held, not the text or a list of lines.
+    The text is read one piece of whole lines at a time, and each
+    vertex's bit is set as its line is read, so beside one piece only
+    the 2^n-bit mask is held, not the text or a list of lines.  A piece
+    of lines that are each exactly n binary digits and a "\n" is parsed
+    whole by ``_set_piece``.  Every other piece, and a piece that
+    repeats a vertex, goes through the per-line reader ``_read_lines``
+    with running line numbers, so each diagnostic names the same line.
     """
     check_dim(n)
     buf = bytearray(((1 << n) + 7) // 8)
-    entries = 0  # non-blank lines read
-    bad = None  # the first line that is not a binary vertex string
-    duplicate = None  # the first line repeating an earlier vertex
-    for lineno, line in enumerate(_lines(blocks), 1):
-        tok = line.strip()
-        if not tok:
+    clean = f"(?:[01]{{{n}}}\n)+"  # the only gate: _set_piece itself checks nothing
+    lineno = entries = 0  # lines and non-blank lines read
+    bad = duplicate = None  # the first non-binary line, the first repeated vertex
+    for piece in _pieces(blocks):
+        # piece[n] is tested first so that a hex mask never compiles the pattern
+        if (
+            bad is None
+            and piece[n : n + 1] == "\n"
+            and re.fullmatch(clean, piece)
+            and _set_piece(piece, n, buf)
+        ):
+            count = len(piece) // (n + 1)
+            lineno += count
+            entries += count
             continue
-        entries += 1
-        if bad is not None:
-            break  # a second line beside a non-binary one: not a lone hex mask
-        if len(tok) == n and not tok.strip("01"):
-            v = int(tok[::-1], 2)  # coordinate 1, the leftmost, is bit 0
-            bit = 1 << (v & 7)
-            if buf[v >> 3] & bit and duplicate is None:
-                duplicate = (lineno, tok)
-            buf[v >> 3] |= bit
-        else:
-            bad = (lineno, tok)
+        lineno, entries, bad, duplicate = _read_lines(
+            piece, n, buf, lineno, entries, bad, duplicate
+        )
+        if bad is not None and entries > 1:
+            break
     if not entries:
         raise SetParseError("empty input where a vertex set is required")
 
@@ -137,6 +154,67 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     raise SetParseError(
         f"bad character {tok[col]!r} in vertex string {tok!r}", line=lineno, column=col + 1
     )
+
+
+def _set_piece(piece: str, n: int, buf: bytearray) -> bool:
+    """Set the bit of each vertex of a piece of n-digit binary lines, each
+    ending in "\n"; False, with ``buf`` unchanged, if a vertex repeats.
+
+    Vertex v's bit is bit v & 7 of mask byte v >> 3.  Coordinates 1..3 of
+    a line, its first three digits, are v & 7, and coordinates 4..n are
+    v >> 3.  Each coordinate's digits, one per line, are a strided slice
+    of the piece, so every line's byte index and bit come from a few
+    operations per coordinate, not per line.
+    """
+    count = len(piece) // (n + 1)
+    digits = piece.encode().translate(_DIGITS)
+
+    def lane(first: int, stop: int) -> bytes:
+        """Per line, one byte of coordinates first + 1 .. stop, low bit first."""
+        return sum(
+            int.from_bytes(digits[c :: n + 1], "little") << (c - first)
+            for c in range(first, min(stop, n))
+        ).to_bytes(count, "little")
+
+    bits = lane(0, 3).translate(_ONE_HOT)
+    index = bytearray(4 * count)  # v >> 3 < 2^21 as a native 4-byte integer
+    for byte, first in enumerate(range(3, n, 8)):
+        index[byte if sys.byteorder == "little" else 3 - byte :: 4] = lane(first, first + 8)
+    index = memoryview(index).cast(_UINT32)
+    pairs = zip(index, bits)
+    for i, bit in pairs:
+        b = buf[i]
+        if b & bit:
+            # a repeated vertex: clear the bits set before this one
+            done = count - 1 - sum(1 for _ in pairs)
+            for i, bit in zip(index[:done], bits[:done]):
+                buf[i] ^= bit
+            return False
+        buf[i] = b | bit
+    return True
+
+
+def _read_lines(piece: str, n: int, buf: bytearray, lineno: int, entries: int, bad, duplicate):
+    """The per-line reader: read the lines of ``piece``, numbered from
+    ``lineno + 1``, into ``buf``; return ``_parse_blocks``' updated
+    ``(lineno, entries, bad, duplicate)``, the last two as ``(lineno, token)``.
+    """
+    for lineno, line in enumerate(piece.splitlines(), lineno + 1):
+        tok = line.strip()
+        if not tok:
+            continue
+        entries += 1
+        if bad is not None:
+            break  # a second line beside a non-binary one: not a lone hex mask
+        if len(tok) == n and not tok.strip("01"):
+            v = int(tok[::-1], 2)  # coordinate 1, the leftmost, is bit 0
+            bit = 1 << (v & 7)
+            if buf[v >> 3] & bit and duplicate is None:
+                duplicate = (lineno, tok)
+            buf[v >> 3] |= bit
+        else:
+            bad = (lineno, tok)
+    return lineno, entries, bad, duplicate
 
 
 def _load_set(args: argparse.Namespace) -> VertexSet:

@@ -275,7 +275,10 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     The shuffle's top-down Fisher-Yates swaps stop when ``i`` reaches
     the prefix length: every later swap stays inside the prefix.  Each
     index is the draw ``Random.shuffle`` makes through ``_randbelow``:
-    ``k`` bits, redrawn while the value exceeds ``i``.
+    ``k = (i + 1).bit_length()`` bits, redrawn while the value exceeds
+    ``i``; ``k`` is n + 1 for the first swap and n for every later one.
+    Position ``i`` is never read after its swap, so each swap only marks
+    the label it moves there and moves ``labels[i]`` into position ``j``.
 
     The mask is parsed, with ``int(..., 2)``, from a reversed buffer of
     2^n bytes, one per label: ``b"1"`` for a prefix label, ``b"0"`` for
@@ -285,16 +288,15 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     """
     getrandbits = random.Random(f"{seed}:{index}").getrandbits
     labels = list(range(1 << n))
-    target = required_size(n)
-    for i in range((1 << n) - 1, target - 1, -1):
-        k = (i + 1).bit_length()
+    bits = bytearray(b"1") * (1 << n)
+    k = n + 1
+    for i in range((1 << n) - 1, required_size(n) - 1, -1):
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
-        labels[i], labels[j] = labels[j], labels[i]
-    bits = bytearray(b"1") * (1 << n)
-    for v in labels[target:]:
-        bits[v] = 48  # b"0"
+        bits[labels[j]] = 48  # b"0": labels[j] moves past the prefix
+        labels[j] = labels[i]
+        k = n
     return VertexSet(n, int(bits[::-1], 2))
 
 

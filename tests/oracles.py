@@ -4,12 +4,17 @@ Everything here is deliberately naive and avoids the library's bitmask
 paths: adjacency via string comparison, subgraph checks via
 itertools.combinations, connectivity via BFS over dict adjacency.  These
 stay the ground truth the fast implementations are checked against.
+``parse_lines`` is the set parser read one line at a time, the reference
+for the parser's whole-piece path.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+
+from cubeclaw.errors import SetParseError
+from cubeclaw.hypercube import VertexSet, hex_width, set_from_hex
 
 
 def bits(v: int, dim: int) -> str:
@@ -142,3 +147,55 @@ def shuffle_prefix(n: int, seed: int, index: int) -> list[int]:
     labels = list(range(2**n))
     random.Random(f"{seed}:{index}").shuffle(labels)
     return labels[: 2 ** (n - 1) + 1]
+
+
+def parse_lines(text: str, n: int):
+    """Reference for ``cli.parse_set``: the whole text's ``splitlines()``
+    read one line at a time, with the parser's diagnostics and the same
+    precedence (a bad line beats a duplicate; a lone token of hex-mask
+    width goes to ``set_from_hex``)."""
+    from cubeclaw.errors import SetParseError
+    from cubeclaw.hypercube import VertexSet, hex_width, set_from_hex
+
+    buf = bytearray(((1 << n) + 7) // 8)
+    entries = 0
+    bad = duplicate = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tok = line.strip()
+        if not tok:
+            continue
+        entries += 1
+        if bad is not None:
+            break
+        if len(tok) == n and not tok.strip("01"):
+            v = int(tok[::-1], 2)
+            bit = 1 << (v & 7)
+            if buf[v >> 3] & bit and duplicate is None:
+                duplicate = (lineno, tok)
+            buf[v >> 3] |= bit
+        else:
+            bad = (lineno, tok)
+    if not entries:
+        raise SetParseError("empty input where a vertex set is required")
+    if bad is None:
+        if duplicate is not None:
+            raise SetParseError(f"duplicate vertex {duplicate[1]!r}", line=duplicate[0])
+        return VertexSet(n, int.from_bytes(buf, "little"))
+    lineno, tok = bad
+    if entries == 1:
+        stripped = tok[2:] if tok.lower().startswith("0x") else tok
+        if len(stripped) == hex_width(n):
+            try:
+                return set_from_hex(tok, n)
+            except SetParseError as exc:
+                raise SetParseError(exc.message, line=lineno, column=exc.column) from None
+    if len(tok) != n:
+        raise SetParseError(
+            f"vertex string {tok!r} has length {len(tok)}, expected {n}"
+            f" (or pass a single {hex_width(n)}-digit hex mask)",
+            line=lineno,
+        )
+    col = len(tok) - len(tok.lstrip("01"))
+    raise SetParseError(
+        f"bad character {tok[col]!r} in vertex string {tok!r}", line=lineno, column=col + 1
+    )

@@ -11,6 +11,7 @@ from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import VertexSet, vertex_from_text, vertex_to_text
+from oracles import parse_lines
 
 
 def parse_witness_line(line, n):
@@ -129,6 +130,69 @@ def test_set_file_is_read_in_blocks(tmp_path, monkeypatch):
                     assert _parse_outcome(lambda: parse_set(text, n)) == whole, case
                     assert _parse_outcome(lambda: parse_set(raw, n)) == raw_whole, case
                 monkeypatch.undo()
+
+
+
+def _clean_lines(n, count, seed):
+    labels = random.Random(seed).sample(range(1 << n), min(count, 1 << n))
+    return labels, [vertex_to_text(v, n) for v in labels]
+
+
+def test_clean_lines_take_the_block_path(tmp_path, monkeypatch):
+    # a piece of "\n"-ended n-digit lines never reaches the per-line reader
+    n = 16
+    labels, lines = _clean_lines(n, 12000, 21)  # 204 K characters: four blocks
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    args = build_parser().parse_args(["witness", "--n", str(n), "--set-file", str(path)])
+
+    def per_line(*_):
+        raise AssertionError("clean piece read line by line")
+
+    monkeypatch.setattr(cli, "_read_lines", per_line)
+    expected = VertexSet.from_members(labels, n)
+    assert parse_set(text, n) == expected
+    assert cli._load_set(args) == expected
+
+
+def test_block_path_matches_per_line_reader(tmp_path, monkeypatch):
+    # "\n"-only input, more than one block at n = 16, 17 and 24, read from
+    # a file and from text in blocks of 64 K and 211 characters: the set, or
+    # the message/line/column, of the per-line reference parser
+    for n, count in ((1, 2), (8, 200), (9, 400), (16, 4000), (17, 3700), (24, 2650)):
+        labels, lines = _clean_lines(n, count, n)
+        k = len(lines) // 2
+        under = "0_" + "1" * (n - 2) if n > 1 else "_"
+        cases = {
+            "clean": "\n".join(lines) + "\n",
+            "no final newline": "\n".join(lines),
+            "duplicate in a block": "\n".join(lines[:k] + [lines[k - 1]] + lines[k:]) + "\n",
+            "duplicate across blocks": "\n".join(lines + [lines[0]]) + "\n",
+            "bad line in a later block": "\n".join(lines[:-1] + ["2" * n] + lines[-1:]) + "\n",
+            "underscore": "\n".join(lines[:k] + [under] + lines[k:]) + "\n",
+            "trailing spaces": "\n".join(lines[:k] + [lines[k] + "  "] + lines[k + 1 :]) + "\n",
+            "blank line": "\n".join(lines[:k] + [""] + lines[k:]) + "\n",
+            "bad and duplicate": "\n".join(lines + [lines[1], n * "3"]) + "\n",
+        }
+        members = ("set", VertexSet.from_members(labels, n).mask)
+        for name, text in cases.items():
+            expected = _parse_outcome(lambda: parse_lines(text, n))
+            if name in ("clean", "no final newline", "trailing spaces", "blank line"):
+                assert expected == members, (n, name)
+            elif name.startswith("duplicate"):
+                assert expected[1].startswith("duplicate vertex"), (n, name)
+            elif name == "underscore":
+                column = under.index("_") + 1
+                assert expected[1].startswith("bad character '_'") and expected[3] == column, n
+            path = tmp_path / "set.txt"
+            path.write_text(text)
+            args = build_parser().parse_args(["witness", "--n", str(n), "--set-file", str(path)])
+            assert _parse_outcome(lambda: cli._load_set(args)) == expected, (n, name)
+            assert _parse_outcome(lambda: parse_set(text, n)) == expected, (n, name)
+            monkeypatch.setattr(cli, "_LINE_BLOCK", 211)
+            assert _parse_outcome(lambda: parse_set(text, n)) == expected, (n, name, 211)
+            monkeypatch.undo()
 
 
 def run_cli(capsys, *argv):
