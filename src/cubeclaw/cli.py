@@ -32,7 +32,7 @@ from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
-from .hypercube import VertexSet, check_dim, hex_width, set_from_hex
+from .hypercube import VertexSet, check_dim, hex_width, set_from_hex, vertex_from_text
 from .verify import (
     _BRUTEFORCE_DIMS,
     _EXTREMAL_C8_DIMS,
@@ -85,7 +85,7 @@ def _pieces(blocks):
 def parse_set(text: str, n: int) -> VertexSet:
     """Parse a vertex set from text: binary lines or a single hex mask.
 
-    Rejects wrong-length strings, bad characters, duplicate vertices and
+    Rejects wrong-length strings, bad digits, duplicate vertices and
     empty input, each with its own diagnostic (with line/column where
     applicable).
     """
@@ -101,7 +101,7 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     the 2^n-bit mask is held, not the text or a list of lines.  A piece
     of lines that are each exactly n binary digits and a "\n" is parsed
     whole by ``_set_piece``.  Every other piece, and a piece that
-    repeats a vertex, goes through the per-line reader ``_read_lines``
+    repeats a vertex, is read line by line through ``vertex_from_text``
     with running line numbers, so each diagnostic names the same line.
     """
     check_dim(n)
@@ -121,9 +121,22 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
             lineno += count
             entries += count
             continue
-        lineno, entries, bad, duplicate = _read_lines(
-            piece, n, buf, lineno, entries, bad, duplicate
-        )
+        for lineno, line in enumerate(piece.splitlines(), lineno + 1):
+            tok = line.strip()
+            if not tok:
+                continue
+            entries += 1
+            if bad is not None:
+                break  # a second line beside a non-binary one: not a lone hex mask
+            try:
+                v = vertex_from_text(tok, n)
+            except SetParseError as exc:
+                bad = (lineno, tok, exc)
+                continue
+            bit = 1 << (v & 7)
+            if buf[v >> 3] & bit and duplicate is None:
+                duplicate = (lineno, tok)
+            buf[v >> 3] |= bit
         if bad is not None and entries > 1:
             break
     if not entries:
@@ -135,25 +148,13 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
             raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
         return VertexSet(n, int.from_bytes(buf, "little"))
 
-    lineno, tok = bad
-    if entries == 1:
-        stripped = tok[2:] if tok.lower().startswith("0x") else tok
-        if len(stripped) == hex_width(n):
-            try:
-                return set_from_hex(tok, n)
-            except SetParseError as exc:
-                raise SetParseError(exc.message, line=lineno, column=exc.column) from None
-
-    if len(tok) != n:
-        raise SetParseError(
-            f"vertex string {tok!r} has length {len(tok)}, expected {n}"
-            f" (or pass a single {hex_width(n)}-digit hex mask)",
-            line=lineno,
-        )
-    col = len(tok) - len(tok.lstrip("01"))
-    raise SetParseError(
-        f"bad character {tok[col]!r} in vertex string {tok!r}", line=lineno, column=col + 1
-    )
+    lineno, tok, error = bad
+    if entries == 1 and len(tok[2:] if tok.lower().startswith("0x") else tok) == hex_width(n):
+        try:
+            return set_from_hex(tok, n)
+        except SetParseError as exc:
+            error = exc
+    raise SetParseError(error.message, line=lineno, column=error.column)
 
 
 def _set_piece(piece: str, n: int, buf: bytearray) -> bool:
@@ -194,29 +195,6 @@ def _set_piece(piece: str, n: int, buf: bytearray) -> bool:
     return True
 
 
-def _read_lines(piece: str, n: int, buf: bytearray, lineno: int, entries: int, bad, duplicate):
-    """The per-line reader: read the lines of ``piece``, numbered from
-    ``lineno + 1``, into ``buf``; return ``_parse_blocks``' updated
-    ``(lineno, entries, bad, duplicate)``, the last two as ``(lineno, token)``.
-    """
-    for lineno, line in enumerate(piece.splitlines(), lineno + 1):
-        tok = line.strip()
-        if not tok:
-            continue
-        entries += 1
-        if bad is not None:
-            break  # a second line beside a non-binary one: not a lone hex mask
-        if len(tok) == n and not tok.strip("01"):
-            v = int(tok[::-1], 2)  # coordinate 1, the leftmost, is bit 0
-            bit = 1 << (v & 7)
-            if buf[v >> 3] & bit and duplicate is None:
-                duplicate = (lineno, tok)
-            buf[v >> 3] |= bit
-        else:
-            bad = (lineno, tok)
-    return lineno, entries, bad, duplicate
-
-
 def _load_set(args: argparse.Namespace) -> VertexSet:
     if args.hex_mask:
         return set_from_hex(args.hex_mask, args.n)
@@ -225,7 +203,7 @@ def _load_set(args: argparse.Namespace) -> VertexSet:
         try:
             with open(args.set_file, "r", encoding="utf-8") as fh:
                 return _parse_blocks(iter(lambda: fh.read(_LINE_BLOCK), ""), args.n)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SetParseError(f"cannot read set file {args.set_file!r}: {exc}") from None
     if args.vertices:
         return parse_set("\n".join(args.vertices.replace(",", " ").split()), args.n)

@@ -69,21 +69,22 @@ def vertex_to_text(v: int, dim: int) -> str:
 
 
 def vertex_from_text(text: str, dim: int) -> int:
-    """Parse the binary text form of a vertex.  Rejects wrong lengths."""
+    """Parse the binary text form of a vertex: exactly ``dim`` characters
+    0 or 1.  Rejects wrong lengths, and names the first bad character's
+    column; the characters are checked before ``int``, which would also
+    take "_", surrounding whitespace and non-ASCII digits."""
     check_dim(dim)
     if len(text) != dim:
         raise SetParseError(
             f"vertex string {text!r} has length {len(text)}, expected {dim}"
+            f" (or pass a single {hex_width(dim)}-digit hex mask)"
         )
-    label = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            label |= 1 << i
-        elif ch != "0":
-            raise SetParseError(
-                f"bad character {ch!r} in vertex string {text!r}", column=i + 1
-            )
-    return label
+    if text.strip("01"):
+        col = len(text) - len(text.lstrip("01"))
+        raise SetParseError(
+            f"bad character {text[col]!r} in vertex string {text!r}", column=col + 1
+        )
+    return int(text[::-1], 2)  # coordinate 1, the leftmost, is bit 0
 
 
 def _iter_bits(mask: int) -> list[int]:

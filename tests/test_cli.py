@@ -32,6 +32,8 @@ def test_parse_set_hex_token():
     assert parse_set("00F0", 4).members() == [4, 5, 6, 7]
     assert parse_set("7E", 3).members() == [1, 2, 3, 4, 5, 6]
     assert parse_set("0x7E", 3).members() == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(SetParseError, match=r"^bad hex digit 'G' in mask \(line 2, column 2\)$"):
+        parse_set("\n 0G\n", 3)
 
 
 def test_parse_set_binary_wins_ties_in_q4():
@@ -150,7 +152,7 @@ def test_clean_lines_take_the_block_path(tmp_path, monkeypatch):
     def per_line(*_):
         raise AssertionError("clean piece read line by line")
 
-    monkeypatch.setattr(cli, "_read_lines", per_line)
+    monkeypatch.setattr(cli, "vertex_from_text", per_line)
     expected = VertexSet.from_members(labels, n)
     assert parse_set(text, n) == expected
     assert cli._load_set(args) == expected
@@ -370,6 +372,14 @@ def test_cli_missing_set_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "3", "--set-file", str(tmp_path / "nope"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_cli_non_utf8_set_file(tmp_path, capsys):
+    path = tmp_path / "set.bin"
+    path.write_bytes(b"\xff1000\n0100\n")
+    code, _, err = run_cli(capsys, "witness", "--n", "4", "--set-file", str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot read set file {str(path)!r}: 'utf-8' codec")
 
 
 def test_cli_unwritable_output_file(tmp_path, capsys):

@@ -96,8 +96,14 @@ def test_vertex_text_round_trip():
 def test_vertex_text_rejects_garbage():
     with pytest.raises(SetParseError):
         vertex_from_text("01", 3)
-    with pytest.raises(SetParseError):
-        vertex_from_text("015", 3)
+    # int(..., 2) would take every token here but "015"; each is rejected
+    # at its first bad character
+    arabic_101 = "\u0661\u0660\u0661"
+    for text, column in (("015", 3), ("1_0", 2), (" 01", 1), ("01 ", 3), (arabic_101, 1)):
+        with pytest.raises(SetParseError) as exc:
+            vertex_from_text(text, 3)
+        assert exc.value.column == column, text
+        assert exc.value.message.startswith(f"bad character {text[column - 1]!r}"), text
 
 
 def test_vertexset_basics():
