@@ -6,7 +6,7 @@ are never adjacent to each other.  Hence an induced claw exists iff some
 member has at least three in-set neighbors (a "claw-center"), and claw
 detection is a single degree scan.  That scan is ``claw_center``, and
 ``claw_at`` builds the claw at a center; ``find_claw``, the structured
-solver and the case-claim checks all go through these two.
+solver, the case-claim and theorem checks all go through these two.
 ``classify_five_set`` needs no search: in the bipartite cube, the count
 of degree-1 vertices tells a five-vertex path from a disconnected set.
 ``_path_from`` is the one path walk, shared with the extremal search.
@@ -97,6 +97,12 @@ def claw_at(s: VertexSet, center: int) -> Claw:
     if c < 0:
         raise ValueError(f"vertex {center} has fewer than three in-set neighbors")
     return Claw(center, (a, b, c))
+
+
+def _witness_mask(w: Witness) -> int:
+    """The membership mask of a claw's or cycle's vertices."""
+    vertices = (w.center, *w.leaves) if isinstance(w, Claw) else w.vertices
+    return sum(1 << v for v in set(vertices))
 
 
 def find_claw(s: VertexSet) -> Optional[Claw]:

@@ -18,7 +18,10 @@ The checks:
 
 - ``verify_theorem_exhaustive``: every 9-vertex (or larger) subset of
   Q_4 contains a claw or an induced 8-cycle -- all C(16,9) = 11440 of
-  them, the base case the inductive extractor stands on.
+  them, the base case the inductive extractor stands on.  As
+  check_witness(w, s) holds iff check_witness(w, V(w)) does and s
+  contains V(w), each distinct claw is validated once per chunk, in a
+  memo keyed by its center's in-set neighbors.
 - ``verify_proposition_exhaustive``: every 6-vertex subset of Q_3
   contains a claw or an induced 6-cycle (28 configurations).
 - ``verify_case_claims``: the delegated "direct verification" claims of
@@ -56,7 +59,9 @@ from typing import Optional, Union
 from .detect import (
     FiveSetKind,
     _path_from,
+    _witness_mask,
     check_witness,
+    claw_at,
     claw_center,
     classify_five_set,
     find_claw,
@@ -196,6 +201,11 @@ def _theorem_chunk(params, start, stop):
         # would raise rather than wrap.
         seen = bytearray(1 << 16)
         verdicts = []
+    else:
+        # claws: a center's in-set neighbors -> (its claw, the claw's vertex
+        # mask if valid on those vertices alone, else -1, which no mask covers)
+        nbr = neighbor_masks(4)
+        claws = {}
     for mask in _subsets(size, 16, start, stop):
         fact = None
         if symmetry_reduced:
@@ -212,9 +222,19 @@ def _theorem_chunk(params, start, stop):
                 fact = (canon.to_hex(), len(set(orbit)))
             ok = verdicts[seen[mask] - 1]
         else:
-            s = VertexSet(4, mask)
-            w = find_theorem_witness(s)
-            ok = w is not None and check_witness(w, s)
+            c = claw_center(mask, mask, 4)
+            if c is None:
+                s = VertexSet(4, mask)
+                w = find_theorem_witness(s)
+                ok = w is not None and check_witness(w, s)
+            else:
+                hood = nbr[c] & mask
+                if hood not in claws:
+                    w = claw_at(VertexSet(4, mask), c)
+                    wmask = _witness_mask(w)
+                    claws[hood] = w, wmask if check_witness(w, VertexSet(4, wmask)) else -1
+                w, wmask = claws[hood]  # check_witness(w, s) iff valid on V(w), V(w) in s
+                ok = wmask & ~mask == 0
         yield None if ok else VertexSet(4, mask).to_hex(), fact
 
 
@@ -399,6 +419,14 @@ def verify_theorem_exhaustive(
 
     Only n = 4 is supported (exhaustive subset enumeration beyond that is
     out of desk range) and size must be at least 9, the density bound.
+
+    Subset s passes iff ``check_witness(w, s)`` holds for its
+    ``find_theorem_witness`` witness w, that is, iff check_witness(w, V(w))
+    holds and s contains V(w): the validator tests membership, then label
+    adjacency.  A claw, memoised per chunk by its center's in-set neighbors
+    (two cube vertices share at most two), is built and validated once, so a
+    subset with one costs a ``claw_center`` scan, a lookup and a subset test.
+
     With ``symmetry_reduced`` the witness existence is evaluated once per
     automorphism class and replayed across the orbit; the digest then
     doubles as a cross-check that existence is automorphism-invariant.

@@ -33,6 +33,7 @@ from .detect import (
     Claw,
     InducedCycle,
     Witness,
+    _witness_mask,
     claw_at,
     claw_center,
     find_claw,
@@ -164,7 +165,7 @@ def resolve_five_four(
     cycle = find_induced_cycle(s, 8)
     if cycle is None:
         return None
-    off_cycle = s.mask & ~sum(1 << v for v in cycle.vertices)
+    off_cycle = s.mask & ~_witness_mask(cycle)
     return cycle, off_cycle.bit_length() - 1
 
 

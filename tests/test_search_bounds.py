@@ -145,12 +145,20 @@ def test_mid_orbit_chunk_keys_are_canonical_forms():
 
 def test_symmetry_reduced_and_raw_runs_agree_on_failures(monkeypatch):
     # every subset in the class of 01FF loses its witness; the reduced run
-    # names its counterexamples from the mask alone
+    # names its counterexamples from the mask alone.  The raw run scans for
+    # a claw center itself and calls find_theorem_witness only when it
+    # finds none, so both detector entry points are patched.
     key = canonical_form(VertexSet(4, 0x1FF))
     bad = set(_orbit(key))
     real = verify_mod.find_theorem_witness
     monkeypatch.setattr(
         verify_mod, "find_theorem_witness", lambda s: None if s.mask in bad else real(s)
+    )
+    real_center = verify_mod.claw_center
+    monkeypatch.setattr(
+        verify_mod,
+        "claw_center",
+        lambda mask, among, dim: None if mask in bad else real_center(mask, among, dim),
     )
     raw = verify_theorem_exhaustive(4, 9)
     reduced = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)

@@ -1,12 +1,21 @@
 """The helpers each shared fact lives in, and the runner's robustness rules."""
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 
 import cubeclaw.verify as verify_mod
-from cubeclaw.detect import Claw, InducedCycle, check_witness, claw_center
+from cubeclaw.detect import (
+    Claw,
+    InducedCycle,
+    _witness_mask,
+    check_witness,
+    claw_at,
+    claw_center,
+    find_theorem_witness,
+)
 from cubeclaw.errors import TheoremViolationError
 from cubeclaw.hypercube import VertexSet, _iter_bits
 from cubeclaw.verify import (
@@ -16,7 +25,7 @@ from cubeclaw.verify import (
     verify_theorem_exhaustive,
 )
 from cubeclaw.witness import ExtractionTrace, resolve_five_four
-from oracles import classify_five, induces_cycle, path_order_of_p5
+from oracles import classify_five, induces_cycle, naive_adjacent, path_order_of_p5
 
 EVEN_LABELS_Q4 = [v for v in range(16) if v % 2 == 0]
 ODD_LABELS_Q4 = [v for v in range(16) if v % 2 == 1]
@@ -209,6 +218,79 @@ def test_every_report_is_worker_invariant(monkeypatch, check):
     serial = [_without_run_fields(r) for r in check(1)]
     split = [_without_run_fields(r) for r in check(3)]
     assert split == serial
+
+
+def test_witness_mask_holds_exactly_the_witness_vertices():
+    assert _witness_mask(Claw(0, (1, 2, 4))) == 0b10111
+    assert _witness_mask(InducedCycle((0, 1, 3, 2))) == 0b1111
+
+
+def test_claw_hoods_fix_their_center():
+    # the theorem check keys its claws by a center's in-set neighbors: two
+    # cube vertices share at most two neighbors, so each of the 16 x (4 + 1)
+    # hoods of three or more names one center
+    hoods = []
+    for center in range(16):
+        nbrs = [v for v in range(16) if naive_adjacent(center, v, 4)]
+        for k in (3, 4):
+            hoods += [sum(1 << v for v in leaves) for leaves in combinations(nbrs, k)]
+    assert len(hoods) == len(set(hoods)) == 80
+
+
+def _q4_subsets(size):
+    return list(verify_mod._subsets(size, 16, 0, math.comb(16, size)))
+
+
+def _reject_least_claw(monkeypatch):
+    """Patch the theorem check's validator to reject the least 9-subset's
+    witness; return that claw."""
+    bad = find_theorem_witness(VertexSet(4, 0x1FF))
+    real = verify_mod.check_witness
+    monkeypatch.setattr(verify_mod, "check_witness", lambda w, s: w != bad and real(w, s))
+    return bad
+
+
+def test_theorem_check_validates_each_subsets_own_witness(monkeypatch):
+    # every subset whose detector witness is the rejected claw fails, and
+    # no other subset does, whichever subset filled the claw memo
+    bad = _reject_least_claw(monkeypatch)
+    for size in range(9, 17):
+        hits = [m for m in _q4_subsets(size) if find_theorem_witness(VertexSet(4, m)) == bad]
+        report = verify_theorem_exhaustive(4, size)
+        assert report.failed == len(hits)
+        assert report.counterexamples == [VertexSet(4, m).to_hex() for m in hits[:16]]
+    assert verify_theorem_exhaustive(4, 9).failed > 16
+
+
+def test_theorem_check_tests_each_subset_for_the_claw(monkeypatch):
+    # a claw with one leaf moved off the set is valid on its own vertices,
+    # so only the per-subset membership test can fail it
+    def leaf_swapped(s, center):
+        claw = claw_at(s, center)
+        off = [center ^ 1 << i for i in range(4) if center ^ 1 << i not in s]
+        return Claw(center, (off[0], *claw.leaves[1:])) if off else claw
+
+    monkeypatch.setattr(verify_mod, "claw_at", leaf_swapped)
+    for size in range(9, 17):
+        failing = []
+        for m in _q4_subsets(size):
+            s = VertexSet(4, m)
+            center = claw_center(m, m, 4)
+            if center is not None and not check_witness(leaf_swapped(s, center), s):
+                failing.append(s.to_hex())
+        report = verify_theorem_exhaustive(4, size)
+        assert report.failed == len(failing)
+        assert report.counterexamples == failing[:16]
+        assert bool(failing) == (size < 16)
+
+
+def test_theorem_check_with_a_rejected_claw_is_worker_invariant(monkeypatch):
+    _reject_least_claw(monkeypatch)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    for size in (9, 10):
+        serial = _without_run_fields(verify_theorem_exhaustive(4, size))
+        assert serial["failed"] > 0
+        assert _without_run_fields(verify_theorem_exhaustive(4, size, workers=3)) == serial
 
 
 def _flaky_chunk(params, start, stop):
