@@ -100,9 +100,10 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     vertex's bit is set as its line is read, so beside one piece only
     the 2^n-bit mask is held, not the text or a list of lines.  A piece
     of lines that are each exactly n binary digits and a "\n" is parsed
-    whole by ``_set_piece``.  Every other piece, and a piece that
-    repeats a vertex, is read line by line through ``vertex_from_text``
-    with running line numbers, so each diagnostic names the same line.
+    whole by ``_set_piece``, up to a repeated vertex.  Every other piece,
+    and the rest of a piece from its repeated vertex on, is read line by
+    line through ``vertex_from_text`` with running line numbers, so each
+    diagnostic names the same line.
     """
     check_dim(n)
     buf = bytearray(((1 << n) + 7) // 8)
@@ -111,16 +112,11 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     bad = duplicate = None  # the first non-binary line, the first repeated vertex
     for piece in _pieces(blocks):
         # piece[n] is tested first so that a hex mask never compiles the pattern
-        if (
-            bad is None
-            and piece[n : n + 1] == "\n"
-            and re.fullmatch(clean, piece)
-            and _set_piece(piece, n, buf)
-        ):
-            count = len(piece) // (n + 1)
+        if bad is None and piece[n : n + 1] == "\n" and re.fullmatch(clean, piece):
+            count = _set_piece(piece, n, buf)
             lineno += count
             entries += count
-            continue
+            piece = piece[count * (n + 1) :]  # from a repeated vertex on, if any
         for lineno, line in enumerate(piece.splitlines(), lineno + 1):
             tok = line.strip()
             if not tok:
@@ -157,9 +153,10 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     raise SetParseError(error.message, line=lineno, column=error.column)
 
 
-def _set_piece(piece: str, n: int, buf: bytearray) -> bool:
+def _set_piece(piece: str, n: int, buf: bytearray) -> int:
     """Set the bit of each vertex of a piece of n-digit binary lines, each
-    ending in "\n"; False, with ``buf`` unchanged, if a vertex repeats.
+    ending in "\n", up to the first line whose vertex is already set, and
+    return how many lines were set: all of them if no vertex repeats.
 
     Vertex v's bit is bit v & 7 of mask byte v >> 3.  Coordinates 1..3 of
     a line, its first three digits, are v & 7, and coordinates 4..n are
@@ -186,26 +183,22 @@ def _set_piece(piece: str, n: int, buf: bytearray) -> bool:
     for i, bit in pairs:
         b = buf[i]
         if b & bit:
-            # a repeated vertex: clear the bits set before this one
-            done = count - 1 - sum(1 for _ in pairs)
-            for i, bit in zip(index[:done], bits[:done]):
-                buf[i] ^= bit
-            return False
+            return count - 1 - sum(1 for _ in pairs)  # the lines before this one
         buf[i] = b | bit
-    return True
+    return count
 
 
 def _load_set(args: argparse.Namespace) -> VertexSet:
-    if args.hex_mask:
+    if args.hex_mask is not None:
         return set_from_hex(args.hex_mask, args.n)
-    if args.set_file:
+    if args.set_file is not None:
         # universal-newline reads never end between the "\r" and "\n" of a pair
         try:
             with open(args.set_file, "r", encoding="utf-8") as fh:
                 return _parse_blocks(iter(lambda: fh.read(_LINE_BLOCK), ""), args.n)
         except (OSError, UnicodeDecodeError) as exc:
             raise SetParseError(f"cannot read set file {args.set_file!r}: {exc}") from None
-    if args.vertices:
+    if args.vertices is not None:
         return parse_set("\n".join(args.vertices.replace(",", " ").split()), args.n)
     raise SetParseError("no vertex set given: use --hex, --set-file or --vertices")
 

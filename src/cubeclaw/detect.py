@@ -18,6 +18,11 @@ scales this package targets (dimension <= 6, cycle length <= 8) the
 inducedness constraint prunes hard enough that nothing cleverer is
 needed.
 
+Every witness exposes ``vertices``: a claw's center then its leaves, or
+a cycle's vertices in cyclic order.  ``check_witness`` reads both kinds
+through that tuple along one path: shape, then membership and
+distinctness, then one adjacency rule.
+
 All searches break ties by vertex label, so equal inputs always produce
 identical witnesses.
 """
@@ -38,6 +43,11 @@ class Claw:
 
     center: int
     leaves: tuple[int, int, int]
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """The center, then the leaves."""
+        return (self.center, *self.leaves)
 
 
 @dataclass(frozen=True)
@@ -101,8 +111,7 @@ def claw_at(s: VertexSet, center: int) -> Claw:
 
 def _witness_mask(w: Witness) -> int:
     """The membership mask of a claw's or cycle's vertices."""
-    vertices = (w.center, *w.leaves) if isinstance(w, Claw) else w.vertices
-    return sum(1 << v for v in set(vertices))
+    return sum(1 << v for v in set(w.vertices))
 
 
 def find_claw(s: VertexSet) -> Optional[Claw]:
@@ -208,61 +217,48 @@ def _path_from(end: int, mask: int, dim: int) -> list[int]:
 def check_witness(w: Witness, s: VertexSet) -> bool:
     """Independent validation of a witness against a set.
 
-    True iff every structural invariant holds: membership, the claw's
-    center-leaf adjacencies and leaf independence, or the cycle's
-    consecutive adjacencies with no chords.  Adjacency is read off the
-    labels (exactly one differing bit), so no neighbor table is built;
-    the cost is one shift of the 2^n-bit mask per membership test.
-    Malformed witnesses return False rather than raising.
+    One path for both kinds, read through ``w.vertices``.  The shape comes
+    first: a tuple of vertices, three leaves for a claw, an even length of
+    at least 4 for a cycle.  Then each vertex must be an ``int`` label of
+    Q_n and a member of ``s``, checked before any set of them is built,
+    and the vertices must be distinct.  Last comes one adjacency rule: a
+    claw's first vertex is adjacent to each other one and no other pair
+    is; a cycle's vertices are adjacent exactly when consecutive modulo
+    k.  Adjacency is read off the labels (exactly one differing bit), so
+    no neighbor table is built; the cost is one shift of the 2^n-bit mask
+    per membership test.  Malformed witnesses return False rather than
+    raising.
     """
-    nverts = 1 << s.dim
-
     if isinstance(w, Claw):
-        # inline tests, no helper calls: every theorem-check subset lands here
-        if not isinstance(w.leaves, tuple) or len(w.leaves) != 3:
+        if not (isinstance(w.leaves, tuple) and len(w.leaves) == 3):
             return False
-        x, (a, b, c) = w.center, w.leaves
-        mask = s.mask
-        return (
-            isinstance(x, int) and isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
-            and 0 <= x < nverts and 0 <= a < nverts and 0 <= b < nverts and 0 <= c < nverts
-            and mask >> x & 1 == mask >> a & 1 == mask >> b & 1 == mask >> c & 1 == 1
-            and len({x, a, b, c}) == 4
-            and (x ^ a).bit_count() == (x ^ b).bit_count() == (x ^ c).bit_count() == 1
-            and (a ^ b).bit_count() != 1 and (a ^ c).bit_count() != 1 and (b ^ c).bit_count() != 1
-        )
-
-    def ok_vertex(v) -> bool:
-        return isinstance(v, int) and 0 <= v < nverts and v in s
-
-    def adjacent(u: int, v: int) -> bool:
-        return (u ^ v).bit_count() == 1
-
-    if isinstance(w, InducedCycle):
-        vs = w.vertices
-        if not isinstance(vs, tuple) or len(vs) < 4 or len(vs) % 2 != 0:
+    elif not (
+        isinstance(w, InducedCycle)
+        and isinstance(w.vertices, tuple)
+        and len(w.vertices) >= 4
+        and len(w.vertices) % 2 == 0
+    ):
+        return False
+    vs = w.vertices
+    nverts, mask, k = 1 << s.dim, s.mask, len(vs)
+    # vertex checks first: a malformed vertex may be unhashable
+    for v in vs:
+        if not (isinstance(v, int) and 0 <= v < nverts and mask >> v & 1):
             return False
-        # vertex checks first: a malformed vertex may be unhashable
-        if not all(ok_vertex(v) for v in vs) or len(set(vs)) != len(vs):
-            return False
-        k = len(vs)
-        # adjacent exactly when consecutive modulo k
-        return all(
-            adjacent(vs[i], vs[j]) == (j - i in (1, k - 1))
-            for i in range(k)
-            for j in range(i + 1, k)
-        )
-
-    return False
+    if len(set(vs)) != k:
+        return False
+    claw = isinstance(w, Claw)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if ((vs[i] ^ vs[j]).bit_count() == 1) != (i == 0 if claw else j - i in (1, k - 1)):
+                return False
+    return True
 
 
 def witness_to_text(w: Witness, dim: int) -> str:
     """Render a witness in its line format:
     ``claw <center> <leaf> <leaf> <leaf>`` or ``cycle <v1> ... <vk>``."""
-    if isinstance(w, Claw):
-        parts = ["claw", vertex_to_text(w.center, dim)]
-        parts += [vertex_to_text(leaf, dim) for leaf in w.leaves]
-        return " ".join(parts)
-    if isinstance(w, InducedCycle):
-        return "cycle " + " ".join(vertex_to_text(v, dim) for v in w.vertices)
-    raise ValueError(f"not a witness: {w!r}")
+    if not isinstance(w, (Claw, InducedCycle)):
+        raise ValueError(f"not a witness: {w!r}")
+    kind = "claw" if isinstance(w, Claw) else "cycle"
+    return " ".join([kind, *(vertex_to_text(v, dim) for v in w.vertices)])

@@ -202,8 +202,8 @@ def _theorem_chunk(params, start, stop):
         seen = bytearray(1 << 16)
         verdicts = []
     else:
-        # claws: a center's in-set neighbors -> (its claw, the claw's vertex
-        # mask if valid on those vertices alone, else -1, which no mask covers)
+        # claws: a center's in-set neighbors -> its claw's vertex mask if the
+        # claw is valid on those vertices alone, else -1, which no mask covers
         nbr = neighbor_masks(4)
         claws = {}
     for mask in _subsets(size, 16, start, stop):
@@ -232,9 +232,9 @@ def _theorem_chunk(params, start, stop):
                 if hood not in claws:
                     w = claw_at(VertexSet(4, mask), c)
                     wmask = _witness_mask(w)
-                    claws[hood] = w, wmask if check_witness(w, VertexSet(4, wmask)) else -1
-                w, wmask = claws[hood]  # check_witness(w, s) iff valid on V(w), V(w) in s
-                ok = wmask & ~mask == 0
+                    claws[hood] = wmask if check_witness(w, VertexSet(4, wmask)) else -1
+                # check_witness(w, s) iff valid on V(w), V(w) in s
+                ok = claws[hood] & ~mask == 0
         yield None if ok else VertexSet(4, mask).to_hex(), fact
 
 

@@ -87,10 +87,8 @@ def required_size(dim: int) -> int:
 
 
 def _map_witness(w: Witness, mapper) -> Witness:
-    if isinstance(w, Claw):
-        a, b, c = (mapper(leaf) for leaf in w.leaves)
-        return Claw(mapper(w.center), (a, b, c))
-    return InducedCycle(tuple(mapper(v) for v in w.vertices))
+    vs = tuple(map(mapper, w.vertices))
+    return Claw(vs[0], vs[1:]) if isinstance(w, Claw) else InducedCycle(vs)
 
 
 def find_witness_inductive(s: VertexSet) -> tuple[Witness, ExtractionTrace]:

@@ -170,6 +170,10 @@ def test_block_path_matches_per_line_reader(tmp_path, monkeypatch):
             "clean": "\n".join(lines) + "\n",
             "no final newline": "\n".join(lines),
             "duplicate in a block": "\n".join(lines[:k] + [lines[k - 1]] + lines[k:]) + "\n",
+            "two duplicates in one block": "\n".join(
+                lines[:k] + [lines[k - 1]] + lines[k : k + 2] + [lines[0]] + lines[k + 2 :]
+            )
+            + "\n",
             "duplicate across blocks": "\n".join(lines + [lines[0]]) + "\n",
             "bad line in a later block": "\n".join(lines[:-1] + ["2" * n] + lines[-1:]) + "\n",
             "underscore": "\n".join(lines[:k] + [under] + lines[k:]) + "\n",
@@ -182,7 +186,7 @@ def test_block_path_matches_per_line_reader(tmp_path, monkeypatch):
             expected = _parse_outcome(lambda: parse_lines(text, n))
             if name in ("clean", "no final newline", "trailing spaces", "blank line"):
                 assert expected == members, (n, name)
-            elif name.startswith("duplicate"):
+            elif name.startswith(("duplicate", "two duplicates")):
                 assert expected[1].startswith("duplicate vertex"), (n, name)
             elif name == "underscore":
                 column = under.index("_") + 1
@@ -372,6 +376,16 @@ def test_cli_missing_set_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "3", "--set-file", str(tmp_path / "nope"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_cli_empty_flag_is_a_given_set(capsys):
+    # an empty --hex or --vertices is parsed, not taken for a missing flag
+    code, _, err = run_cli(capsys, "witness", "--n", "4", "--hex", "")
+    assert code == 2
+    assert err == "error: hex mask '' has 0 digits, expected 4 for dimension 4\n"
+    code, _, err = run_cli(capsys, "witness", "--n", "4", "--vertices", "")
+    assert code == 2
+    assert err == "error: empty input where a vertex set is required\n"
 
 
 def test_cli_non_utf8_set_file(tmp_path, capsys):

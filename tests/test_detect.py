@@ -305,6 +305,11 @@ def test_check_witness_accepts_and_rejects():
         assert not check_witness(InducedCycle((0, 1, 3, bad)), q3)
         assert not check_witness(InducedCycle((bad, 0, 1, 3)), q3)
     assert not check_witness("claw", q3)  # not a witness at all
+    # containers that are not tuples: the shape is checked before w.vertices is read
+    assert not check_witness(InducedCycle([0, 1, 3, 2]), q3)
+    assert not check_witness(InducedCycle(None), q3)
+    assert not check_witness(Claw(0, None), q3)
+    assert not check_witness(Claw(0, "124"), q3)
     assert not check_witness(Claw(0, (1, 2, 16)), VertexSet(4, 0xFFFF))  # out of range
 
 
