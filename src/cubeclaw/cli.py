@@ -341,7 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, workers=True):
         if workers:
-            sp.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+            sp.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="parallel workers (default 1); a check estimated to take less than"
+                " a process-pool start runs in-process",
+            )
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(
             "--format", choices=("table", "json"), default="table", help="stdout format"

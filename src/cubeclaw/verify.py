@@ -3,9 +3,11 @@
 Every check enumerates a fixed universe of configurations in a canonical
 order (subsets in increasing-membership-mask order, composite universes
 in mixed-radix order over their parts) and folds the per-configuration
-pass/fail stream into a report.  Work is split across workers by
-contiguous ranges of the enumeration index and reassembled in order, so
-the report's digest is bit-identical for any worker count.  Each check is
+pass/fail stream into a report.  With more than one worker a check whose
+estimated serial cost is below about one process-pool start still runs
+in-process; any other is split across a pool by contiguous ranges of the
+enumeration index and reassembled in order, so the report's digest is
+bit-identical for any worker count.  Each check is
 one module-level generator, ``_<check>_chunk(params, start, stop)``, that
 yields ``(failure, fact)`` for each index in [start, stop): ``failure``
 is the configuration's hex label if it fails, else None, and ``fact`` is
@@ -52,7 +54,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
@@ -79,6 +80,9 @@ from .witness import (
 )
 
 COUNTEREXAMPLE_CAP = 16
+
+_POOL_BUDGET = 0.025  # s: about a first pool start (import, fork, first round trip)
+ProcessPoolExecutor = None  # concurrent.futures' pool class, imported on first use
 
 # what fired in a Q_3 six-subset, indexed by 2 * has_claw + has_c6
 _PROPOSITION_KINDS = ("neither", "cycle_only", "claw_only", "claw_and_cycle")
@@ -371,15 +375,24 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_check(
-    check_name: str, chunk, params: tuple, total: int, workers: int
+    check_name: str, chunk, params: tuple, total: int, workers: int, item_s: float = 1e-6
 ) -> tuple[VerificationReport, list]:
-    """The check's report, its ``details`` empty, and its facts in enumeration order."""
+    """The check's report, its ``details`` empty, and its facts in enumeration order.
+
+    ``item_s`` is a rough serial cost of one item; the default, 1 us, is
+    about that of the Q_4 and Q_3 checks (2 vCPUs, Python 3.11).  A check
+    whose estimate, ``total * item_s``, is under ``_POOL_BUDGET`` runs
+    in-process whatever ``workers`` is, and so loads no pool.  The choice
+    reads no clock, so every run of a check makes the same one."""
+    global ProcessPoolExecutor
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    if workers == 1 or total <= 1:
+    if workers == 1 or total <= 1 or total * item_s < _POOL_BUDGET:
         chunks = [_run_chunk(chunk, params, 0, total)]
     else:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         spans = _ranges(total, workers)
         processes = min(len(spans), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
@@ -544,7 +557,8 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     if trials < 1:
         raise ValueError("trials must be >= 1")
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
-    report, causes = _run_check(name, _random_agreement_chunk, (n, seed), trials, workers)
+    item_s = 2e-5 + 1e-7 * (1 << n)  # s per trial: about 20 us + 0.1 us per vertex
+    report, causes = _run_check(name, _random_agreement_chunk, (n, seed), trials, workers, item_s)
     if causes:
         report.details["failure_causes"] = dict(Counter(causes))
     report.details["generator"] = RANDOM_GENERATOR_NOTE

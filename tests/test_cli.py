@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cubeclaw
 from cubeclaw import cli
 from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
@@ -486,3 +490,29 @@ def test_workers_only_on_the_check_commands(capsys):
 def test_run_rejects_unknown_command():
     with pytest.raises(ValueError):
         run(argparse.Namespace(command="bogus"))
+
+
+POOL_MODULES_LOADED = """
+import contextlib, io, json, sys
+pool = ("multiprocessing", "concurrent.futures.process")
+import cubeclaw.cli
+loaded = [[m for m in pool if m in sys.modules]]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cubeclaw.cli.main(["verify-cases", "--workers", "2", "--format", "json"])
+loaded.append([m for m in pool if m in sys.modules])
+print(json.dumps([code, len(json.loads(out.getvalue())["reports"]), loaded]))
+"""
+
+
+def test_cli_import_and_a_short_check_load_no_process_pool():
+    # one fresh interpreter: verify-cases is estimated well under the pool budget
+    src = os.path.dirname(os.path.dirname(cubeclaw.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES_LOADED],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [0, 6, [[], []]]

@@ -20,7 +20,7 @@ from cubeclaw.verify import (
     verify_theorem_exhaustive,
 )
 from oracles import automorphic_image, claw_exists, induced_cycle_exists
-from test_shared_helpers import InlinePool
+from test_shared_helpers import InlinePool, no_pool_budget  # noqa: F401
 
 
 def test_extremal_certificates_and_oracle_check():
@@ -117,6 +117,7 @@ def test_orbit_is_every_automorphic_image():
             assert canonical_form(s).mask == min(images)
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_symmetry_reduced_split_across_two_workers(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)

@@ -2,7 +2,8 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 
@@ -141,6 +142,14 @@ class InlinePool:
         return Done()
 
 
+@pytest.fixture
+def no_pool_budget(monkeypatch):
+    """Send every multi-worker check to the pool, so that a fake pool sees
+    all of it."""
+    monkeypatch.setattr(verify_mod, "_POOL_BUDGET", 0)
+
+
+@pytest.mark.usefixtures("no_pool_budget")
 def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
@@ -162,6 +171,7 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     assert InlinePool.requested == [3]
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_spans_are_bounded_by_the_universe(monkeypatch):
     # far more workers than configurations: one span per configuration
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
@@ -175,6 +185,7 @@ def test_spans_are_bounded_by_the_universe(monkeypatch):
     assert InlinePool.requested == [2]
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_proposition_report_is_worker_invariant(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     serial = verify_proposition_exhaustive(workers=1)
@@ -185,6 +196,7 @@ def test_proposition_report_is_worker_invariant(monkeypatch):
         assert split.details == serial.details
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_symmetry_reduced_theorem_report_is_worker_invariant(monkeypatch):
     # each chunk yields its class counts once, at its last index; the
     # merged counts must not depend on where the chunks split the orbits
@@ -201,6 +213,7 @@ def _without_run_fields(report):
     return {k: v for k, v in report.to_dict().items() if k not in ("wall_time", "worker_count")}
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 @pytest.mark.parametrize(
     "check",
     [
@@ -284,6 +297,7 @@ def test_theorem_check_tests_each_subset_for_the_claw(monkeypatch):
         assert bool(failing) == (size < 16)
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_theorem_check_with_a_rejected_claw_is_worker_invariant(monkeypatch):
     _reject_least_claw(monkeypatch)
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
@@ -299,6 +313,7 @@ def _flaky_chunk(params, start, stop):
         yield None if index % 3 else f"{index:04X}", index if index % 5 == 0 else None
 
 
+@pytest.mark.usefixtures("no_pool_budget")
 def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
     # the first span (0, 34) holds 12 failures, so the 16-entry cap is
     # filled across a span boundary
@@ -312,6 +327,31 @@ def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
     assert split_facts == serial_facts == list(range(0, 100, 5))
 
 
+@pytest.mark.parametrize("share, spans", [(1 / 200, []), (1 / 50, [(0, 50), (50, 100)])])
+def test_the_estimated_cost_alone_picks_the_pool(monkeypatch, share, spans):
+    # 100 items at item_s: under the budget in-process, at or over it on the
+    # pool, whatever the clock says (here it jumps an hour a reading)
+    clock = SimpleNamespace(perf_counter=count(0, 3600).__next__)
+    monkeypatch.setattr(verify_mod, "time", clock)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    InlinePool.spans = []
+    item_s = share * verify_mod._POOL_BUDGET
+    report, _ = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 2, item_s)
+    assert InlinePool.spans == spans
+    assert report.failed == 34 and report.worker_count == 2
+
+
+def test_the_q4_and_q3_checks_start_no_pool(monkeypatch):
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    InlinePool.requested = []
+    verify_theorem_exhaustive(4, 9, workers=2)
+    verify_theorem_exhaustive(4, 9, workers=2, symmetry_reduced=True)
+    verify_proposition_exhaustive(workers=2)
+    verify_case_claims("all", workers=2)
+    assert InlinePool.requested == []
+
+
+@pytest.mark.usefixtures("no_pool_budget")
 def test_random_agreement_failures_keep_trial_order(monkeypatch):
     # trials fail by the mask they draw, with two different causes
     real = verify_mod.find_witness_inductive
