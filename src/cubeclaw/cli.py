@@ -32,7 +32,7 @@ from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
 from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
-from .hypercube import VertexSet, check_dim, hex_width, set_from_hex, vertex_from_text
+from .hypercube import VertexSet, _hex_shaped, check_dim, set_from_hex, vertex_from_text
 from .verify import (
     _BRUTEFORCE_DIMS,
     _EXTREMAL_C8_DIMS,
@@ -109,10 +109,10 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
     buf = bytearray(((1 << n) + 7) // 8)
     clean = f"(?:[01]{{{n}}}\n)+"  # the only gate: _set_piece itself checks nothing
     lineno = entries = 0  # lines and non-blank lines read
-    bad = duplicate = None  # the first non-binary line, the first repeated vertex
+    duplicate = held = None  # the first repeated vertex; a first line that may be a lone mask
     for piece in _pieces(blocks):
         # piece[n] is tested first so that a hex mask never compiles the pattern
-        if bad is None and piece[n : n + 1] == "\n" and re.fullmatch(clean, piece):
+        if held is None and piece[n : n + 1] == "\n" and re.fullmatch(clean, piece):
             count = _set_piece(piece, n, buf)
             lineno += count
             entries += count
@@ -121,36 +121,34 @@ def _parse_blocks(blocks, n: int) -> VertexSet:
             tok = line.strip()
             if not tok:
                 continue
+            if held is not None:
+                _located(vertex_from_text, *held, n)  # raises: beside a second line it is no mask
             entries += 1
-            if bad is not None:
-                break  # a second line beside a non-binary one: not a lone hex mask
-            try:
-                v = vertex_from_text(tok, n)
-            except SetParseError as exc:
-                bad = (lineno, tok, exc)
+            # at n = 1 or 4 a mask has a vertex's length: the vertex reading wins
+            if entries == 1 and _hex_shaped(tok, n) and (len(tok) != n or tok.strip("01")):
+                held = (lineno, tok)
                 continue
+            v = _located(vertex_from_text, lineno, tok, n)
             bit = 1 << (v & 7)
             if buf[v >> 3] & bit and duplicate is None:
                 duplicate = (lineno, tok)
             buf[v >> 3] |= bit
-        if bad is not None and entries > 1:
-            break
     if not entries:
         raise SetParseError("empty input where a vertex set is required")
+    if held is not None:
+        return _located(set_from_hex, *held, n)
+    if duplicate is not None:
+        lineno, tok = duplicate
+        raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
+    return VertexSet(n, int.from_bytes(buf, "little"))
 
-    if bad is None:
-        if duplicate is not None:
-            lineno, tok = duplicate
-            raise SetParseError(f"duplicate vertex {tok!r}", line=lineno)
-        return VertexSet(n, int.from_bytes(buf, "little"))
 
-    lineno, tok, error = bad
-    if entries == 1 and len(tok[2:] if tok.lower().startswith("0x") else tok) == hex_width(n):
-        try:
-            return set_from_hex(tok, n)
-        except SetParseError as exc:
-            error = exc
-    raise SetParseError(error.message, line=lineno, column=error.column)
+def _located(parse, lineno: int, tok: str, n: int):
+    """``parse(tok, n)``, its diagnostic placed at line ``lineno``."""
+    try:
+        return parse(tok, n)
+    except SetParseError as exc:
+        raise SetParseError(exc.message, line=lineno, column=exc.column) from None
 
 
 def _set_piece(piece: str, n: int, buf: bytearray) -> int:
@@ -345,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="parallel workers (default 1); a check estimated to take less than"
-                " a process-pool start runs in-process",
+                help="parallel workers (default 1); only random-test is split across"
+                " processes, and only when estimated to outlast a process-pool start",
             )
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(

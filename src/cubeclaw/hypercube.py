@@ -167,20 +167,31 @@ class VertexSet:
 _NON_HEX_DIGIT = re.compile("[^0-9a-fA-F]")
 
 
+def _hex_start(token: str) -> int:
+    """Where a stripped hex mask token's digits start: after an optional 0x."""
+    return 2 if token[:2] in ("0x", "0X") else 0
+
+
+def _hex_shaped(token: str, dim: int) -> bool:
+    """Whether a stripped token has a hex mask's shape: exactly
+    ``hex_width(dim)`` characters, digits or not, after an optional 0x."""
+    return len(token) - _hex_start(token) == hex_width(dim)
+
+
 def set_from_hex(text: str, dim: int) -> VertexSet:
-    """Parse a hex mask token of exactly ``hex_width(dim)`` digits."""
+    """Parse a hex mask token of exactly ``hex_width(dim)`` digits.  The
+    token is read in place, since ``int`` takes the 0x prefix itself."""
     check_dim(dim)
     token = text.strip()
-    if token.lower().startswith("0x"):
-        token = token[2:]
-    width = hex_width(dim)
-    if len(token) != width:
+    start = _hex_start(token)
+    if not _hex_shaped(token, dim):
         raise SetParseError(
-            f"hex mask {text.strip()!r} has {len(token)} digits, expected {width} for dimension {dim}"
+            f"hex mask {token!r} has {len(token) - start} digits,"
+            f" expected {hex_width(dim)} for dimension {dim}"
         )
-    bad = _NON_HEX_DIGIT.search(token)
+    bad = _NON_HEX_DIGIT.search(token, start)
     if bad is not None:
-        raise SetParseError(f"bad hex digit {bad.group()!r} in mask", column=bad.start() + 1)
+        raise SetParseError(f"bad hex digit {bad.group()!r} in mask", column=bad.start() - start + 1)
     return VertexSet(dim, int(token, 16))
 
 

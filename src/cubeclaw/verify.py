@@ -3,18 +3,19 @@
 Every check enumerates a fixed universe of configurations in a canonical
 order (subsets in increasing-membership-mask order, composite universes
 in mixed-radix order over their parts) and folds the per-configuration
-pass/fail stream into a report.  With more than one worker a check whose
-estimated serial cost is below about one process-pool start still runs
-in-process; any other is split across a pool by contiguous ranges of the
-enumeration index and reassembled in order, so the report's digest is
-bit-identical for any worker count.  Each check is
-one module-level generator, ``_<check>_chunk(params, start, stop)``, that
-yields ``(failure, fact)`` for each index in [start, stop): ``failure``
-is the configuration's hex label if it fails, else None, and ``fact`` is
-None or one picklable value that the check folds into its ``details``.
-The runner is handed the generator itself, which a process pool pickles
-by name.  A fact holds only what its run decides; one its inputs fix is
-set on the report by the check.
+pass/fail stream into a report.  Each check is one module-level
+generator, ``_<check>_stream``, that yields ``(failure, fact)`` per
+configuration: ``failure`` is the configuration's hex label if it fails,
+else None, and ``fact`` is None or one value that the check folds into
+its ``details``.  A fact holds only what its run decides; one its inputs
+fix is set on the report by the check.
+
+No Q_4 or Q_3 check enumerates more than C(16,9) = 11440 configurations,
+in well under a process-pool start, so they run in-process whatever the
+worker count.  Only ``random_agreement_test``, whose trials grow with
+2^n, is split across a pool when its estimated serial cost reaches
+``_POOL_BUDGET``: by contiguous ranges of the trial index, reassembled in
+order, so its digest is bit-identical for any worker count.
 
 The checks:
 
@@ -22,8 +23,8 @@ The checks:
   Q_4 contains a claw or an induced 8-cycle -- all C(16,9) = 11440 of
   them, the base case the inductive extractor stands on.  As
   check_witness(w, s) holds iff check_witness(w, V(w)) does and s
-  contains V(w), each distinct claw is validated once per chunk, in a
-  memo keyed by its center's in-set neighbors.
+  contains V(w), each distinct claw is validated once, in a memo keyed
+  by its center's in-set neighbors.
 - ``verify_proposition_exhaustive``: every 6-vertex subset of Q_3
   contains a claw or an induced 6-cycle (28 configurations).
 - ``verify_case_claims``: the delegated "direct verification" claims of
@@ -192,12 +193,11 @@ def _half_subsets(size: int, side: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# checks: one module-level (so picklable) chunk generator per check, which
-# yields (failure, fact) for each index in [start, stop)
+# checks: one generator per check, which yields (failure, fact) for each
+# configuration of its universe, in order
 # ---------------------------------------------------------------------------
 
-def _theorem_chunk(params, start, stop):
-    size, symmetry_reduced = params
+def _theorem_stream(size, symmetry_reduced):
     if symmetry_reduced:
         # seen: Q_4 mask -> 1 + its class's place in verdicts, 0 until
         # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
@@ -210,12 +210,11 @@ def _theorem_chunk(params, start, stop):
         # claw is valid on those vertices alone, else -1, which no mask covers
         nbr = neighbor_masks(4)
         claws = {}
-    for mask in _subsets(size, 16, start, stop):
+    for mask in _subsets(size, 16, 0, math.comb(16, size)):
         fact = None
         if symmetry_reduced:
-            # orbit marking: the first subset of a class met in this chunk
-            # scans its orbit once and marks every image; the least image
-            # is the class key.  A chunk starting mid-orbit rescans it itself.
+            # orbit marking: the first subset of a class scans its orbit once
+            # and marks every image; the least image is the class key
             if not seen[mask]:
                 orbit = _orbit(VertexSet(4, mask))
                 canon = VertexSet(4, min(orbit))
@@ -242,8 +241,8 @@ def _theorem_chunk(params, start, stop):
         yield None if ok else VertexSet(4, mask).to_hex(), fact
 
 
-def _proposition_chunk(params, start, stop):
-    for mask in _subsets(6, 8, start, stop):
+def _proposition_stream():
+    for mask in _subsets(6, 8, 0, math.comb(8, 6)):
         s = VertexSet(3, mask)
         claw = find_claw(s) is not None
         cycle = find_induced_cycle(s, 6) is not None
@@ -251,44 +250,43 @@ def _proposition_chunk(params, start, stop):
         yield None if claw or cycle else label, (_PROPOSITION_KINDS[2 * claw + cycle], label)
 
 
-def _case1_chunk(params, start, stop):
-    for index in range(start, stop):
-        full = _EVEN_HALF_Q4 | 1 << (2 * index + 1)
+def _case1_stream():
+    for odd in range(1, 16, 2):
+        full = _EVEN_HALF_Q4 | 1 << odd
         ok = all(claw_center(full, 1 << v, 4) is not None for v in range(0, 16, 2))
         yield None if ok else VertexSet(4, full).to_hex(), None
 
 
-def _case23_chunk(params, start, stop):
-    bigs, smalls = params
-    for index in range(start, stop):
-        i, j = divmod(index, len(smalls))
-        big = bigs[i]
-        full = big | smalls[j]
-        ok = claw_center(full, big, 4) is not None
-        yield None if ok else VertexSet(4, full).to_hex(), None
+def _case23_stream(bigs, smalls):
+    for big in bigs:
+        for small in smalls:
+            full = big | small
+            ok = claw_center(full, big, 4) is not None
+            yield None if ok else VertexSet(4, full).to_hex(), None
 
 
-def _case4_structure_chunk(params, start, stop):
-    for mask, shape in params[0][start:stop]:
+def _case4_structure_stream(shapes):
+    for mask, shape in shapes:
         ok = (claw_center(mask, mask, 4) is None) == (shape.kind is FiveSetKind.PATH_P5)
         yield None if ok else VertexSet(4, mask).to_hex(), None
 
 
-def _case4_admissible_chunk(params, start, stop):
-    for big, choices in params[0][start:stop]:
+def _case4_admissible_stream(placements):
+    for big, choices in placements:
         ok = len(choices) == 5
         yield None if ok else VertexSet(4, big).to_hex(), None
 
 
-def _case4_outcomes_chunk(params, start, stop):
-    for placement_idx, big, small in params[0][start:stop]:
-        full = VertexSet(4, big | small)
-        w, z = resolve_five_four(full, VertexSet(4, small)) or (None, None)
-        # a cycle induced in full minus z is induced in full as well
-        if w is not None and check_witness(w, full if z is None else full.remove(z)):
-            yield None, (placement_idx, 0 if z is None else 1)  # claw, cycle
-        else:
-            yield full.to_hex(), None
+def _case4_outcomes_stream(placements):
+    for placement_idx, (big, choices) in enumerate(placements):
+        for small in choices:
+            full = VertexSet(4, big | small)
+            w, z = resolve_five_four(full, VertexSet(4, small)) or (None, None)
+            # a cycle induced in full minus z is induced in full as well
+            if w is not None and check_witness(w, full if z is None else full.remove(z)):
+                yield None, (placement_idx, 0 if z is None else 1)  # claw, cycle
+            else:
+                yield full.to_hex(), None
 
 
 def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
@@ -324,8 +322,7 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     return VertexSet(n, int(bits[::-1], 2))
 
 
-def _random_agreement_chunk(params, start, stop):
-    n, seed = params
+def _random_trials(n, seed, start, stop):
     for index in range(start, stop):
         s = _trial_subset(n, seed, index)
         try:
@@ -349,21 +346,8 @@ def _random_agreement_chunk(params, start, stop):
 
 
 # ---------------------------------------------------------------------------
-# deterministic partitioned runner
+# the runner, and random-test's process pool
 # ---------------------------------------------------------------------------
-
-
-def _run_chunk(chunk, params: tuple, start: int, stop: int):
-    outcomes = bytearray()
-    counterexamples: list[str] = []
-    facts: list = []
-    for failure, fact in chunk(params, start, stop):
-        outcomes.append(48 if failure else 49)  # b"0" / b"1"
-        if failure and len(counterexamples) < COUNTEREXAMPLE_CAP:
-            counterexamples.append(failure)
-        if fact is not None:
-            facts.append(fact)
-    return bytes(outcomes), counterexamples, facts
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -374,48 +358,61 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_check(
-    check_name: str, chunk, params: tuple, total: int, workers: int, item_s: float = 1e-6
-) -> tuple[VerificationReport, list]:
-    """The check's report, its ``details`` empty, and its facts in enumeration order.
+def _random_trials_span(n, seed, start, stop) -> list:
+    """Trials [start, stop) as a pool worker sends them back.  The spans are
+    folded in order, so a failure past a span's first ``COUNTEREXAMPLE_CAP``
+    never reaches the report's counterexamples: it is sent labelled ""."""
+    pairs = list(_random_trials(n, seed, start, stop))
+    for i in [i for i, (failure, _) in enumerate(pairs) if failure][COUNTEREXAMPLE_CAP:]:
+        pairs[i] = ("", pairs[i][1])
+    return pairs
 
-    ``item_s`` is a rough serial cost of one item; the default, 1 us, is
-    about that of the Q_4 and Q_3 checks (2 vCPUs, Python 3.11).  A check
-    whose estimate, ``total * item_s``, is under ``_POOL_BUDGET`` runs
-    in-process whatever ``workers`` is, and so loads no pool.  The choice
-    reads no clock, so every run of a check makes the same one."""
+
+def _random_agreement_stream(n, seed, trials, workers):
+    """Every trial's ``(failure, cause)``, in trial order.  A run whose
+    estimated serial cost reaches ``_POOL_BUDGET`` is split into
+    ``min(workers, trials)`` contiguous spans on at most ``os.cpu_count()``
+    processes, started as the stream is read; any other loads no pool.  The
+    estimate reads no clock, so every run makes the same choice."""
     global ProcessPoolExecutor
+    item_s = 2e-5 + 1e-7 * (1 << n)  # s: fitted to trials at n = 4..14 (2 vCPUs, Python 3.11)
+    if workers == 1 or trials * item_s < _POOL_BUDGET:
+        yield from _random_trials(n, seed, 0, trials)
+        return
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    spans = _ranges(trials, workers)
+    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_random_trials_span, n, seed, lo, hi) for lo, hi in spans]
+        for future in futures:
+            yield from future.result()
+
+
+def _run_check(check_name: str, stream, workers: int) -> tuple[VerificationReport, list]:
+    """The check's report, its ``details`` empty, and its facts in order,
+    from one fold of its ``(failure, fact)`` stream, timed as a whole."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    if workers == 1 or total <= 1 or total * item_s < _POOL_BUDGET:
-        chunks = [_run_chunk(chunk, params, 0, total)]
-    else:
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        spans = _ranges(total, workers)
-        processes = min(len(spans), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [
-                pool.submit(_run_chunk, chunk, params, lo, hi) for lo, hi in spans
-            ]
-            chunks = [f.result() for f in futures]
-    stream = b"".join(outcomes for outcomes, _, _ in chunks)
-    passed = stream.count(b"1")
+    outcomes = bytearray()
     counterexamples: list[str] = []
     facts: list = []
-    for _, chunk_counterexamples, chunk_facts in chunks:
-        counterexamples.extend(chunk_counterexamples[: COUNTEREXAMPLE_CAP - len(counterexamples)])
-        facts.extend(chunk_facts)
+    for failure, fact in stream:
+        outcomes.append(49 if failure is None else 48)  # b"1" / b"0"
+        if failure is not None and len(counterexamples) < COUNTEREXAMPLE_CAP:
+            counterexamples.append(failure)
+        if fact is not None:
+            facts.append(fact)
+    passed = outcomes.count(b"1")
     report = VerificationReport(
         check_name=check_name,
-        universe_size=total,
+        universe_size=len(outcomes),
         passed=passed,
-        failed=total - passed,
+        failed=len(outcomes) - passed,
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - t0,
         worker_count=workers,
-        deterministic_digest=hashlib.sha256(stream).hexdigest(),
+        deterministic_digest=hashlib.sha256(outcomes).hexdigest(),
     )
     return report, facts
 
@@ -436,17 +433,17 @@ def verify_theorem_exhaustive(
     Subset s passes iff ``check_witness(w, s)`` holds for its
     ``find_theorem_witness`` witness w, that is, iff check_witness(w, V(w))
     holds and s contains V(w): the validator tests membership, then label
-    adjacency.  A claw, memoised per chunk by its center's in-set neighbors
-    (two cube vertices share at most two), is built and validated once, so a
-    subset with one costs a ``claw_center`` scan, a lookup and a subset test.
+    adjacency.  A claw, memoised by its center's in-set neighbors (two cube
+    vertices share at most two), is built and validated once, so a subset
+    with one costs a ``claw_center`` scan, a lookup and a subset test.
 
     With ``symmetry_reduced`` the witness existence is evaluated once per
     automorphism class and replayed across the orbit; the digest then
     doubles as a cross-check that existence is automorphism-invariant.
     Classes are found by orbit marking (cf. McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998): the first subset of a
-    class that a chunk meets has its at most 384 images generated once,
-    and each is marked with the least image, the class key.  The orbit
+    class has its at most 384 images generated once, and each is marked
+    with the least image, the class key.  The orbit
     sizes of the distinct keys sum to ``universe_size``, since the orbits
     partition the subsets, unless an orbit strays outside its class.
     """
@@ -455,22 +452,18 @@ def verify_theorem_exhaustive(
     lo, hi = _THEOREM_SIZES
     if not lo <= size <= hi:
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
-    total = math.comb(16, size)
     name = f"theorem-exhaustive-n4-size{size}"
-    report, facts = _run_check(name, _theorem_chunk, (size, symmetry_reduced), total, workers)
+    report, facts = _run_check(name, _theorem_stream(size, symmetry_reduced), workers)
     if symmetry_reduced:
-        # two chunks can meet the same class, so pairs are deduped by key
-        orbit_sizes = dict(facts)
-        report.details["distinct_classes"] = len(orbit_sizes)
-        report.details["orbit_accounting_total"] = sum(orbit_sizes.values())
+        report.details["distinct_classes"] = len(facts)
+        report.details["orbit_accounting_total"] = sum(orbit for _, orbit in facts)
     return report
 
 
 def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
     """Check all 28 six-vertex subsets of Q_3 for a claw or induced 6-cycle,
     classifying which condition fired for each."""
-    name, total = "proposition-exhaustive-q3-size6", math.comb(8, 6)
-    report, facts = _run_check(name, _proposition_chunk, (), total, workers)
+    report, facts = _run_check("proposition-exhaustive-q3-size6", _proposition_stream(), workers)
     kinds = Counter(kind for kind, _ in facts)
     report.details = {kind: kinds[kind] for kind in _PROPOSITION_KINDS}
     report.details["cycle_only_masks"] = [label for kind, label in facts if kind == "cycle_only"]
@@ -488,13 +481,13 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
     reports: list[VerificationReport] = []
 
     if case in (1, "all"):
-        reports.append(_run_check("case1-full-half-claw-centers", _case1_chunk, (), 8, workers)[0])
+        reports.append(_run_check("case1-full-half-claw-centers", _case1_stream(), workers)[0])
 
     for split, big_size in ((2, 7), (3, 6)):
         if case in (split, "all"):
             bigs, smalls = _half_subsets(big_size, 0), _half_subsets(9 - big_size, 1)
             name = f"case{split}-split-{big_size}-{9 - big_size}-claw-center"
-            r, _ = _run_check(name, _case23_chunk, (bigs, smalls), len(bigs) * len(smalls), workers)
+            r, _ = _run_check(name, _case23_stream(bigs, smalls), workers)
             # the half-only reading depends on the big half alone
             half_only = sum(claw_center(big, big, 4) is None for big in bigs)
             r.details["subcube_only_failures"] = half_only * len(smalls)
@@ -512,20 +505,17 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
                 placements.append((big, [small for small in fours if not small & partners]))
 
         name = "case4-max-degree-2-is-path"
-        r1, _ = _run_check(name, _case4_structure_chunk, (shapes,), len(shapes), workers)
+        r1, _ = _run_check(name, _case4_structure_stream(shapes), workers)
         r1.details["p5_placements"] = len(placements)
         reports.append(r1)
 
         name = "case4-admissible-choice-count"
-        r2, _ = _run_check(name, _case4_admissible_chunk, (placements,), len(placements), workers)
+        r2, _ = _run_check(name, _case4_admissible_stream(placements), workers)
         r2.details["admissible_counts"] = [len(choices) for _, choices in placements]
         reports.append(r2)
 
-        pairs = tuple(
-            (idx, big, small) for idx, (big, choices) in enumerate(placements) for small in choices
-        )
         name = "case4-claw-or-cycle-outcomes"
-        r3, facts = _run_check(name, _case4_outcomes_chunk, (pairs,), len(pairs), workers)
+        r3, facts = _run_check(name, _case4_outcomes_stream(placements), workers)
         per_placement = [[0, 0] for _ in placements]  # [claws, cycles]
         for placement_idx, is_cycle in facts:
             per_placement[placement_idx][is_cycle] += 1
@@ -557,8 +547,7 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     if trials < 1:
         raise ValueError("trials must be >= 1")
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
-    item_s = 2e-5 + 1e-7 * (1 << n)  # s per trial: about 20 us + 0.1 us per vertex
-    report, causes = _run_check(name, _random_agreement_chunk, (n, seed), trials, workers, item_s)
+    report, causes = _run_check(name, _random_agreement_stream(n, seed, trials, workers), workers)
     if causes:
         report.details["failure_causes"] = dict(Counter(causes))
     report.details["generator"] = RANDOM_GENERATOR_NOTE

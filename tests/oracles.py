@@ -71,15 +71,14 @@ def is_connected(members, dim: int) -> bool:
 
 
 def claw_exists(members, dim: int) -> bool:
-    """Any 4-subset inducing K_{1,3}: 3 edges, one degree-3 vertex."""
+    """Any induced K_{1,3}: a centre and three of its in-set neighbours,
+    no two of them adjacent."""
     members = list(members)
-    for four in combinations(members, 4):
-        edges = induced_edges(four, dim)
-        if len(edges) != 3:
-            continue
-        deg = degree_map(four, dim)
-        if sorted(deg.values()) == [1, 1, 1, 3]:
-            return True
+    for centre in members:
+        hood = [v for v in members if naive_adjacent(centre, v, dim)]
+        for trio in combinations(hood, 3):
+            if not any(naive_adjacent(u, v, dim) for u, v in combinations(trio, 2)):
+                return True
     return False
 
 

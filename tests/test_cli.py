@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,23 @@ def test_set_file_is_read_in_blocks(tmp_path, monkeypatch):
 def _clean_lines(n, count, seed):
     labels = random.Random(seed).sample(range(1 << n), min(count, 1 << n))
     return labels, [vertex_to_text(v, n) for v in labels]
+
+
+def test_lone_hex_mask_file_peak(tmp_path):
+    # beside the text and the 2^n-bit mask the reader keeps no copy of the
+    # token: no discarded vertex error quoting it, no re-cased or sliced copy
+    n = 20
+    s = VertexSet(n, random.Random(5).getrandbits(1 << n))
+    path = tmp_path / "mask.txt"
+    path.write_text(s.to_hex() + "\n")
+    args = build_parser().parse_args(["witness", "--n", str(n), "--set-file", str(path)])
+    tracemalloc.start()
+    try:
+        assert cli._load_set(args) == s
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 def test_clean_lines_take_the_block_path(tmp_path, monkeypatch):

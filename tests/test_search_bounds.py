@@ -10,17 +10,9 @@ import pytest
 
 import cubeclaw.verify as verify_mod
 from cubeclaw.errors import TheoremViolationError
-from cubeclaw.hypercube import VertexSet, _orbit, canonical_form
-from cubeclaw.verify import (
-    _run_chunk,
-    _theorem_chunk,
-    extremal_search,
-    gosper_next,
-    unrank_subset,
-    verify_theorem_exhaustive,
-)
+from cubeclaw.hypercube import VertexSet, _orbit, canonical_form, set_from_hex
+from cubeclaw.verify import extremal_search, gosper_next, verify_theorem_exhaustive
 from oracles import automorphic_image, claw_exists, induced_cycle_exists
-from test_shared_helpers import InlinePool, no_pool_budget  # noqa: F401
 
 
 def test_extremal_certificates_and_oracle_check():
@@ -117,31 +109,18 @@ def test_orbit_is_every_automorphic_image():
             assert canonical_form(s).mask == min(images)
 
 
-@pytest.mark.usefixtures("no_pool_budget")
-def test_symmetry_reduced_split_across_two_workers(monkeypatch):
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-    InlinePool.requested = []
-    raw = verify_theorem_exhaustive(4, 9)
-    reduced = verify_theorem_exhaustive(4, 9, workers=2, symmetry_reduced=True)
-    assert InlinePool.requested == [2]
-    assert reduced.deterministic_digest == raw.deterministic_digest
-    assert reduced.details == {"distinct_classes": 56, "orbit_accounting_total": 11440}
-
-
-def test_mid_orbit_chunk_keys_are_canonical_forms():
-    start, stop = math.comb(16, 9) // 2, math.comb(16, 9) // 2 + 60
-    outcomes, counterexamples, facts = _run_chunk(_theorem_chunk, (9, True), start, stop)
-    assert outcomes == b"1" * (stop - start) and counterexamples == []
-    mask = unrank_subset(start, 9, 16)
-    expected = {}
-    for _ in range(start, stop):
-        canon = canonical_form(VertexSet(4, mask))
-        expected[canon.to_hex()] = len(set(_orbit(canon)))
-        mask = gosper_next(mask)
-    # one pair per class the chunk meets, keyed by its canonical form
-    assert len(facts) == len(expected)
-    assert dict(facts) == expected
+def test_class_facts_are_keyed_by_canonical_forms():
+    # one (key, orbit size) fact per class, keyed by its canonical form;
+    # the orbits partition the nine-subsets
+    stream = list(verify_mod._theorem_stream(9, True))
+    assert [failure for failure, _ in stream] == [None] * math.comb(16, 9)
+    facts = [fact for _, fact in stream if fact is not None]
+    assert len(facts) == len({key for key, _ in facts}) == 56
+    for key, orbit_size in facts:
+        canon = canonical_form(set_from_hex(key, 4))
+        assert canon.to_hex() == key
+        assert orbit_size == len(set(_orbit(canon)))
+    assert sum(orbit_size for _, orbit_size in facts) == math.comb(16, 9)
 
 
 def test_symmetry_reduced_and_raw_runs_agree_on_failures(monkeypatch):

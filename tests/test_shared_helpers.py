@@ -116,7 +116,7 @@ def test_random_agreement_passing_trials_add_no_cause():
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each chunk in-process and
+    """Stands in for ProcessPoolExecutor: runs each span in-process and
     records the process count it was asked for and the spans submitted."""
 
     requested: list = []
@@ -144,8 +144,8 @@ class InlinePool:
 
 @pytest.fixture
 def no_pool_budget(monkeypatch):
-    """Send every multi-worker check to the pool, so that a fake pool sees
-    all of it."""
+    """Send every multi-worker random-test to the pool, so that a fake pool
+    sees all of it; the Q_4 and Q_3 checks never reach it."""
     monkeypatch.setattr(verify_mod, "_POOL_BUDGET", 0)
 
 
@@ -154,31 +154,31 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     InlinePool.requested = []
-    serial = verify_theorem_exhaustive(4, 9)
-    wide = verify_theorem_exhaustive(4, 9, workers=11440)
+    serial = random_agreement_test(4, 28, seed=1)
+    wide = random_agreement_test(4, 28, seed=1, workers=11440)
     assert InlinePool.requested == [2]
     assert wide.worker_count == 11440
     assert wide.deterministic_digest == serial.deterministic_digest
 
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
     InlinePool.requested = []
-    assert verify_proposition_exhaustive(workers=8).failed == 0
+    assert random_agreement_test(4, 28, seed=1, workers=8).failed == 0
     assert InlinePool.requested == [1]
 
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
     InlinePool.requested = []
-    verify_proposition_exhaustive(workers=3)
+    random_agreement_test(4, 28, seed=1, workers=3)
     assert InlinePool.requested == [3]
 
 
 @pytest.mark.usefixtures("no_pool_budget")
 def test_spans_are_bounded_by_the_universe(monkeypatch):
-    # far more workers than configurations: one span per configuration
+    # far more workers than trials: one span per trial
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
     InlinePool.requested, InlinePool.spans = [], []
-    serial = verify_proposition_exhaustive()
-    wide = verify_proposition_exhaustive(workers=10**7)
+    serial = random_agreement_test(4, 28, seed=1)
+    wide = random_agreement_test(4, 28, seed=1, workers=10**7)
     assert wide.deterministic_digest == serial.deterministic_digest
     assert wide.worker_count == 10**7
     assert InlinePool.spans == [(i, i + 1) for i in range(28)]
@@ -198,8 +198,6 @@ def test_proposition_report_is_worker_invariant(monkeypatch):
 
 @pytest.mark.usefixtures("no_pool_budget")
 def test_symmetry_reduced_theorem_report_is_worker_invariant(monkeypatch):
-    # each chunk yields its class counts once, at its last index; the
-    # merged counts must not depend on where the chunks split the orbits
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     serial = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)
     assert serial.details == {"distinct_classes": 56, "orbit_accounting_total": 11440}
@@ -307,38 +305,64 @@ def test_theorem_check_with_a_rejected_claw_is_worker_invariant(monkeypatch):
         assert _without_run_fields(verify_theorem_exhaustive(4, size, workers=3)) == serial
 
 
-def _flaky_chunk(params, start, stop):
-    # every third index fails; every fifth yields its index as a fact
-    for index in range(start, stop):
-        yield None if index % 3 else f"{index:04X}", index if index % 5 == 0 else None
-
-
 @pytest.mark.usefixtures("no_pool_budget")
 def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
-    # the first span (0, 34) holds 12 failures, so the 16-entry cap is
-    # filled across a span boundary
+    # trials fail by the mask they draw; the first span (0, 34) holds 13
+    # failures, so the 16-entry cap is filled across a span boundary
+    real = verify_mod.find_witness_inductive
+
+    def every_third_mask(s):
+        if s.mask % 3 == 0:
+            raise TheoremViolationError("injected", s.dim, s.mask)
+        return real(s)
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", every_third_mask)
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    drawn = [verify_mod._trial_subset(5, 3, i).to_hex() for i in range(100)]
+    failing = [label for label in drawn if int(label, 16) % 3 == 0]
+    assert len(failing) == 30 and sum(int(label, 16) % 3 == 0 for label in drawn[:34]) == 13
     InlinePool.spans = []
-    serial, serial_facts = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 1)
-    split, split_facts = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 3)
+    serial = random_agreement_test(5, 100, seed=3, workers=1)
+    split = random_agreement_test(5, 100, seed=3, workers=3)
     assert InlinePool.spans == [(0, 34), (34, 67), (67, 100)]
-    assert split.counterexamples == serial.counterexamples == [f"{3 * i:04X}" for i in range(16)]
-    assert split.failed == serial.failed == 34
-    assert split_facts == serial_facts == list(range(0, 100, 5))
+    assert split.counterexamples == serial.counterexamples == failing[:16]
+    assert split.failed == serial.failed == 30
+    assert split.details == serial.details
+    # a span sends back its first 16 failure labels only
+    labels = [failure for failure, _ in verify_mod._random_trials_span(5, 3, 0, 100)]
+    assert [label for label in labels if label] == failing[:16]
+    assert labels.count("") == 30 - 16
 
 
 @pytest.mark.parametrize("share, spans", [(1 / 200, []), (1 / 50, [(0, 50), (50, 100)])])
 def test_the_estimated_cost_alone_picks_the_pool(monkeypatch, share, spans):
-    # 100 items at item_s: under the budget in-process, at or over it on the
-    # pool, whatever the clock says (here it jumps an hour a reading)
+    # 100 trials, each estimated at share of the budget: under the budget
+    # in-process, at or over it on the pool, whatever the clock says (here
+    # it jumps an hour a reading).  random-test's estimate at n = 4 is
+    # 20 us + 16 x 0.1 us a trial.
     clock = SimpleNamespace(perf_counter=count(0, 3600).__next__)
     monkeypatch.setattr(verify_mod, "time", clock)
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod, "_POOL_BUDGET", (2e-5 + 16e-7) / share)
     InlinePool.spans = []
-    item_s = share * verify_mod._POOL_BUDGET
-    report, _ = verify_mod._run_check("flaky-check", _flaky_chunk, (), 100, 2, item_s)
+    report = random_agreement_test(4, 100, seed=1, workers=2)
     assert InlinePool.spans == spans
-    assert report.failed == 34 and report.worker_count == 2
+    assert report.failed == 0 and report.worker_count == 2
+
+
+@pytest.mark.usefixtures("no_pool_budget")
+def test_only_random_test_reaches_the_pool(monkeypatch):
+    # with no budget at all, the Q_4 and Q_3 checks still run in-process
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    InlinePool.requested = []
+    verify_theorem_exhaustive(4, 9, workers=3)
+    verify_theorem_exhaustive(4, 9, workers=3, symmetry_reduced=True)
+    verify_proposition_exhaustive(workers=3)
+    verify_case_claims("all", workers=3)
+    assert InlinePool.requested == []
+    random_agreement_test(4, 3, seed=1, workers=3)
+    assert InlinePool.requested == [3]
 
 
 def test_the_q4_and_q3_checks_start_no_pool(monkeypatch):

@@ -273,11 +273,8 @@ def test_runner_failure_reporting():
     # checks never reach
     import cubeclaw.verify as verify_mod
 
-    def flaky_chunk(params, start, stop):
-        for index in range(start, stop):
-            yield None if index % 3 else f"{index:04X}", None
-
-    report, facts = verify_mod._run_check("flaky-check", flaky_chunk, (), 100, workers=1)
+    flaky = ((None if index % 3 else f"{index:04X}", None) for index in range(100))
+    report, facts = verify_mod._run_check("flaky-check", flaky, workers=1)
     assert facts == []
     assert report.universe_size == 100
     assert report.passed + report.failed == 100
