@@ -249,16 +249,20 @@ def _finish_reports(args: argparse.Namespace, reports: list[VerificationReport])
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit status."""
+    # every check command takes --workers, but only random-test can use it
+    if "workers" in args and args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+
     if args.command == "verify-theorem":
-        report = verify_theorem_exhaustive(args.n, args.size, args.workers, args.symmetry_reduced)
+        report = verify_theorem_exhaustive(args.n, args.size, args.symmetry_reduced)
         return _finish_reports(args, [report])
 
     if args.command == "verify-proposition":
-        return _finish_reports(args, [verify_proposition_exhaustive(args.workers)])
+        return _finish_reports(args, [verify_proposition_exhaustive()])
 
     if args.command == "verify-cases":
         case = args.case if args.case == "all" else int(args.case)
-        return _finish_reports(args, verify_case_claims(case, args.workers))
+        return _finish_reports(args, verify_case_claims(case))
 
     if args.command == "witness":
         lo, hi = _BRUTEFORCE_DIMS
@@ -343,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="parallel workers (default 1); only random-test is split across"
-                " processes, and only when estimated to outlast a process-pool start",
+                help="most processes to run on (default 1); only random-test starts"
+                " more than one, and only when estimated to outlast a process-pool start;"
+                " the other checks accept it but always run in one process",
             )
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(

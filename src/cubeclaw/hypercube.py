@@ -192,7 +192,10 @@ def set_from_hex(text: str, dim: int) -> VertexSet:
     bad = _NON_HEX_DIGIT.search(token, start)
     if bad is not None:
         raise SetParseError(f"bad hex digit {bad.group()!r} in mask", column=bad.start() - start + 1)
-    return VertexSet(dim, int(token, 16))
+    mask = int(token, 16)
+    if mask >> (1 << dim):  # only Q_1's one digit has more bits than the cube has vertices
+        raise SetParseError(f"hex digit {token[start]!r} has bits outside Q_{dim}", column=1)
+    return VertexSet(dim, mask)
 
 
 _BLOCK_MASK_CACHE_BITS = 1 << 16

@@ -8,14 +8,17 @@ generator, ``_<check>_stream``, that yields ``(failure, fact)`` per
 configuration: ``failure`` is the configuration's hex label if it fails,
 else None, and ``fact`` is None or one value that the check folds into
 its ``details``.  A fact holds only what its run decides; one its inputs
-fix is set on the report by the check.
+fix is set on the report by the check.  The case claims that are a
+yes/no per Q_4 mask all use ``_claim_stream``.
 
 No Q_4 or Q_3 check enumerates more than C(16,9) = 11440 configurations,
-in well under a process-pool start, so they run in-process whatever the
-worker count.  Only ``random_agreement_test``, whose trials grow with
-2^n, is split across a pool when its estimated serial cost reaches
-``_POOL_BUDGET``: by contiguous ranges of the trial index, reassembled in
-order, so its digest is bit-identical for any worker count.
+in well under a process-pool start, so they take no worker count and run
+in one process.  Only ``random_agreement_test``, whose trials grow with
+2^n, takes ``workers``: once its estimated serial cost reaches
+``_POOL_BUDGET``, it runs one contiguous span of trials on each of
+``min(workers, trials, os.cpu_count())`` processes, reassembled in order,
+so its digest is the same for any worker count.  A report's
+``worker_count`` is the number of processes that ran it.
 
 The checks:
 
@@ -176,12 +179,11 @@ def unrank_subset(index: int, size: int, universe: int) -> int:
     return mask
 
 
-def _subsets(size: int, universe: int, start: int, stop: int):
-    """The ``size``-subsets of [0, universe) with indices in [start, stop)
-    of increasing-mask order: ``start`` is unranked once, then each next
-    mask is one ``gosper_next`` step."""
-    mask = unrank_subset(start, size, universe)
-    for _ in range(start, stop):
+def _subsets(size: int, universe: int):
+    """The ``size``-subsets of [0, universe) in increasing-mask order: the
+    least is ``(1 << size) - 1``, and each next one a ``gosper_next`` step."""
+    mask = (1 << size) - 1
+    for _ in range(math.comb(universe, size)):
         yield mask
         mask = gosper_next(mask)
 
@@ -189,7 +191,7 @@ def _subsets(size: int, universe: int, start: int, stop: int):
 def _half_subsets(size: int, side: int) -> list[int]:
     """The Q_4 masks of the ``size``-subsets of the coordinate-1 = ``side``
     half, in increasing-mask order."""
-    return [_EVEN_HALF_SPREAD[p] << side for p in _subsets(size, 8, 0, math.comb(8, size))]
+    return [_EVEN_HALF_SPREAD[p] << side for p in _subsets(size, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def _theorem_stream(size, symmetry_reduced):
         # claw is valid on those vertices alone, else -1, which no mask covers
         nbr = neighbor_masks(4)
         claws = {}
-    for mask in _subsets(size, 16, 0, math.comb(16, size)):
+    for mask in _subsets(size, 16):
         fact = None
         if symmetry_reduced:
             # orbit marking: the first subset of a class scans its orbit once
@@ -242,7 +244,7 @@ def _theorem_stream(size, symmetry_reduced):
 
 
 def _proposition_stream():
-    for mask in _subsets(6, 8, 0, math.comb(8, 6)):
+    for mask in _subsets(6, 8):
         s = VertexSet(3, mask)
         claw = find_claw(s) is not None
         cycle = find_induced_cycle(s, 6) is not None
@@ -250,31 +252,10 @@ def _proposition_stream():
         yield None if claw or cycle else label, (_PROPOSITION_KINDS[2 * claw + cycle], label)
 
 
-def _case1_stream():
-    for odd in range(1, 16, 2):
-        full = _EVEN_HALF_Q4 | 1 << odd
-        ok = all(claw_center(full, 1 << v, 4) is not None for v in range(0, 16, 2))
-        yield None if ok else VertexSet(4, full).to_hex(), None
-
-
-def _case23_stream(bigs, smalls):
-    for big in bigs:
-        for small in smalls:
-            full = big | small
-            ok = claw_center(full, big, 4) is not None
-            yield None if ok else VertexSet(4, full).to_hex(), None
-
-
-def _case4_structure_stream(shapes):
-    for mask, shape in shapes:
-        ok = (claw_center(mask, mask, 4) is None) == (shape.kind is FiveSetKind.PATH_P5)
-        yield None if ok else VertexSet(4, mask).to_hex(), None
-
-
-def _case4_admissible_stream(placements):
-    for big, choices in placements:
-        ok = len(choices) == 5
-        yield None if ok else VertexSet(4, big).to_hex(), None
+def _claim_stream(claims):
+    """One case claim's stream, from lazy ``(mask, holds)`` pairs over Q_4."""
+    for mask, holds in claims:
+        yield None if holds else VertexSet(4, mask).to_hex(), None
 
 
 def _case4_outcomes_stream(placements):
@@ -350,9 +331,8 @@ def _random_trials(n, seed, start, stop):
 # ---------------------------------------------------------------------------
 
 
-def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """``min(workers, total)`` contiguous nonempty spans covering [0, total)."""
-    parts = min(workers, total)
+def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` <= ``total`` contiguous nonempty spans covering [0, total)."""
     chunk, extra = divmod(total, parts)
     bounds = [i * chunk + min(i, extra) for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -368,31 +348,25 @@ def _random_trials_span(n, seed, start, stop) -> list:
     return pairs
 
 
-def _random_agreement_stream(n, seed, trials, workers):
-    """Every trial's ``(failure, cause)``, in trial order.  A run whose
-    estimated serial cost reaches ``_POOL_BUDGET`` is split into
-    ``min(workers, trials)`` contiguous spans on at most ``os.cpu_count()``
-    processes, started as the stream is read; any other loads no pool.  The
-    estimate reads no clock, so every run makes the same choice."""
+def _random_agreement_stream(n, seed, trials, processes):
+    """Each trial's ``(failure, cause)`` in trial order: in-process, loading no
+    pool, for one process, else one span per process of a pool started lazily."""
     global ProcessPoolExecutor
-    item_s = 2e-5 + 1e-7 * (1 << n)  # s: fitted to trials at n = 4..14 (2 vCPUs, Python 3.11)
-    if workers == 1 or trials * item_s < _POOL_BUDGET:
+    if processes == 1:
         yield from _random_trials(n, seed, 0, trials)
         return
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    spans = _ranges(trials, workers)
-    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+    spans = _ranges(trials, processes)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         futures = [pool.submit(_random_trials_span, n, seed, lo, hi) for lo, hi in spans]
         for future in futures:
             yield from future.result()
 
 
-def _run_check(check_name: str, stream, workers: int) -> tuple[VerificationReport, list]:
-    """The check's report, its ``details`` empty, and its facts in order,
-    from one fold of its ``(failure, fact)`` stream, timed as a whole."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _run_check(check_name: str, stream) -> tuple[VerificationReport, list]:
+    """The check's report (``details`` empty, ``worker_count`` 1) and its facts
+    in order, from one fold of its ``(failure, fact)`` stream, timed as a whole."""
     t0 = time.perf_counter()
     outcomes = bytearray()
     counterexamples: list[str] = []
@@ -411,7 +385,7 @@ def _run_check(check_name: str, stream, workers: int) -> tuple[VerificationRepor
         failed=len(outcomes) - passed,
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - t0,
-        worker_count=workers,
+        worker_count=1,
         deterministic_digest=hashlib.sha256(outcomes).hexdigest(),
     )
     return report, facts
@@ -423,7 +397,7 @@ def _run_check(check_name: str, stream, workers: int) -> tuple[VerificationRepor
 
 
 def verify_theorem_exhaustive(
-    n: int = 4, size: int = 9, workers: int = 1, symmetry_reduced: bool = False
+    n: int = 4, size: int = 9, symmetry_reduced: bool = False
 ) -> VerificationReport:
     """Check every ``size``-subset of Q_4 for a claw or induced 8-cycle.
 
@@ -453,24 +427,24 @@ def verify_theorem_exhaustive(
     if not lo <= size <= hi:
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
     name = f"theorem-exhaustive-n4-size{size}"
-    report, facts = _run_check(name, _theorem_stream(size, symmetry_reduced), workers)
+    report, facts = _run_check(name, _theorem_stream(size, symmetry_reduced))
     if symmetry_reduced:
         report.details["distinct_classes"] = len(facts)
         report.details["orbit_accounting_total"] = sum(orbit for _, orbit in facts)
     return report
 
 
-def verify_proposition_exhaustive(workers: int = 1) -> VerificationReport:
+def verify_proposition_exhaustive() -> VerificationReport:
     """Check all 28 six-vertex subsets of Q_3 for a claw or induced 6-cycle,
     classifying which condition fired for each."""
-    report, facts = _run_check("proposition-exhaustive-q3-size6", _proposition_stream(), workers)
+    report, facts = _run_check("proposition-exhaustive-q3-size6", _proposition_stream())
     kinds = Counter(kind for kind, _ in facts)
     report.details = {kind: kinds[kind] for kind in _PROPOSITION_KINDS}
     report.details["cycle_only_masks"] = [label for kind, label in facts if kind == "cycle_only"]
     return report
 
 
-def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[VerificationReport]:
+def verify_case_claims(case: Union[int, str] = "all") -> list[VerificationReport]:
     """Machine-check the delegated claims of the dimension-4 case analysis.
 
     One report per sub-claim.  ``case`` selects a single split -- 1 for
@@ -481,13 +455,17 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
     reports: list[VerificationReport] = []
 
     if case in (1, "all"):
-        reports.append(_run_check("case1-full-half-claw-centers", _case1_stream(), workers)[0])
+        fulls = [_EVEN_HALF_Q4 | 1 << odd for odd in range(1, 16, 2)]
+        evens = range(0, 16, 2)
+        claims = ((f, all(claw_center(f, 1 << v, 4) is not None for v in evens)) for f in fulls)
+        reports.append(_run_check("case1-full-half-claw-centers", _claim_stream(claims))[0])
 
     for split, big_size in ((2, 7), (3, 6)):
         if case in (split, "all"):
             bigs, smalls = _half_subsets(big_size, 0), _half_subsets(9 - big_size, 1)
             name = f"case{split}-split-{big_size}-{9 - big_size}-claw-center"
-            r, _ = _run_check(name, _case23_stream(bigs, smalls), workers)
+            claims = ((b | s, claw_center(b | s, b, 4) is not None) for b in bigs for s in smalls)
+            r, _ = _run_check(name, _claim_stream(claims))
             # the half-only reading depends on the big half alone
             half_only = sum(claw_center(big, big, 4) is None for big in bigs)
             r.details["subcube_only_failures"] = half_only * len(smalls)
@@ -505,17 +483,19 @@ def verify_case_claims(case: Union[int, str] = "all", workers: int = 1) -> list[
                 placements.append((big, [small for small in fours if not small & partners]))
 
         name = "case4-max-degree-2-is-path"
-        r1, _ = _run_check(name, _case4_structure_stream(shapes), workers)
+        p5 = FiveSetKind.PATH_P5
+        claims = ((m, (claw_center(m, m, 4) is None) == (sh.kind is p5)) for m, sh in shapes)
+        r1, _ = _run_check(name, _claim_stream(claims))
         r1.details["p5_placements"] = len(placements)
         reports.append(r1)
 
         name = "case4-admissible-choice-count"
-        r2, _ = _run_check(name, _case4_admissible_stream(placements), workers)
+        r2, _ = _run_check(name, _claim_stream((big, len(c) == 5) for big, c in placements))
         r2.details["admissible_counts"] = [len(choices) for _, choices in placements]
         reports.append(r2)
 
         name = "case4-claw-or-cycle-outcomes"
-        r3, facts = _run_check(name, _case4_outcomes_stream(placements), workers)
+        r3, facts = _run_check(name, _case4_outcomes_stream(placements))
         per_placement = [[0, 0] for _ in placements]  # [claws, cycles]
         for placement_idx, is_cycle in facts:
             per_placement[placement_idx][is_cycle] += 1
@@ -540,14 +520,23 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     extracted witness must validate and the trace must satisfy the
     half-plus-one inequality at every level.  For n <= 5 existence is
     also cross-checked against direct search.
+
+    Once the serial cost, estimated without reading a clock, reaches
+    ``_POOL_BUDGET``, the trials run one contiguous span per process on
+    ``min(workers, trials, os.cpu_count())`` processes.
     """
     lo, hi = _RANDOM_DIMS
     if not lo <= n <= hi:
         raise ValueError(f"random agreement test supports n in {lo}..{hi}, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    item_s = 2e-5 + 1e-7 * (1 << n)  # s: fitted to trials at n = 4..14 (2 vCPUs, Python 3.11)
+    processes = 1 if trials * item_s < _POOL_BUDGET else min(workers, trials, os.cpu_count() or 1)
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
-    report, causes = _run_check(name, _random_agreement_stream(n, seed, trials, workers), workers)
+    report, causes = _run_check(name, _random_agreement_stream(n, seed, trials, processes))
+    report.worker_count = processes
     if causes:
         report.details["failure_causes"] = dict(Counter(causes))
     report.details["generator"] = RANDOM_GENERATOR_NOTE

@@ -37,7 +37,7 @@ def verdict(number, name, ok):
 
 
 def test_acceptance_1_base_case_certification():
-    report = verify_theorem_exhaustive(4, 9, workers=1)
+    report = verify_theorem_exhaustive(4, 9)
     ok = (
         report.universe_size == binomial(16, 9)
         and report.universe_size == 11440
@@ -227,21 +227,25 @@ def test_acceptance_7_property_suites():
 
 def test_acceptance_8_determinism_across_workers_and_runs():
     ok = True
+    # only random-test takes a worker count; every check is run twice
     checks = {
-        "theorem": lambda workers: [verify_theorem_exhaustive(4, 9, workers=workers)],
-        "proposition": lambda workers: [verify_proposition_exhaustive(workers=workers)],
-        "cases": lambda workers: verify_case_claims("all", workers=workers),
-        "random": lambda workers: [random_agreement_test(4, 300, seed=9, workers=workers)],
+        "theorem": [lambda: [verify_theorem_exhaustive(4, 9)]],
+        "proposition": [lambda: [verify_proposition_exhaustive()]],
+        "cases": [lambda: verify_case_claims("all")],
+        "random": [
+            lambda w=workers: [random_agreement_test(4, 300, seed=9, workers=w)]
+            for workers in (1, 4, 8)
+        ],
     }
-    for name, runner in checks.items():
+    for name, runners in checks.items():
         digests = set()
-        for workers in (1, 4, 8):
+        for runner in runners:
             for _repeat in range(2):
-                reports = runner(workers)
+                reports = runner()
                 digests.add(tuple(r.deterministic_digest for r in reports))
                 if any(r.failed for r in reports):
                     ok = False
         if len(digests) != 1:
             print(f"\n  digest mismatch in {name}: {digests}")
             ok = False
-    verdict(8, "determinism across worker counts {1,4,8} and repeat runs", ok)
+    verdict(8, "determinism across repeat runs and random-test worker counts {1,4,8}", ok)

@@ -41,6 +41,18 @@ def test_parse_set_hex_token():
         parse_set("\n 0G\n", 3)
 
 
+def test_q1_hex_digit_holds_only_two_vertices(capsys):
+    # a Q_1 mask's one digit has 4 bits but Q_1 has 2 vertices
+    message = "hex digit 'B' has bits outside Q_1"
+    for text in ("B", "0xB"):
+        with pytest.raises(SetParseError, match=rf"^{message} \(line 1, column 1\)$"):
+            parse_set(text, 1)
+    assert parse_set("3", 1).members() == [0, 1]
+    code, _, err = run_cli(capsys, "witness", "--n", "1", "--hex", "B")
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_parse_set_binary_wins_ties_in_q4():
     # a lone 4-char token of 0/1 is a vertex, not a mask; the 0x prefix
     # forces the mask reading
@@ -241,6 +253,19 @@ def test_cli_verify_theorem_json(capsys):
     doc = json.loads(out)
     assert doc["reports"][0]["universe_size"] == 11440
     assert doc["reports"][0]["failed"] == 0
+
+
+def test_cli_verify_theorem_runs_in_one_process_at_any_workers(capsys):
+    docs = []
+    for workers in ("1", "2"):
+        argv = ("verify-theorem", "--n", "4", "--size", "9", "--workers", workers)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report.pop("worker_count") == 1
+        report.pop("wall_time")
+        docs.append(report)
+    assert docs[1] == docs[0]
 
 
 def test_cli_verify_proposition(capsys):

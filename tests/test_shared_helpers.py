@@ -1,6 +1,5 @@
 """The helpers each shared fact lives in, and the runner's robustness rules."""
 
-import math
 import random
 from itertools import combinations, count
 from types import SimpleNamespace
@@ -21,8 +20,6 @@ from cubeclaw.errors import TheoremViolationError
 from cubeclaw.hypercube import VertexSet, _iter_bits
 from cubeclaw.verify import (
     random_agreement_test,
-    verify_case_claims,
-    verify_proposition_exhaustive,
     verify_theorem_exhaustive,
 )
 from cubeclaw.witness import ExtractionTrace, resolve_five_four
@@ -143,92 +140,69 @@ class InlinePool:
 
 
 @pytest.fixture
-def no_pool_budget(monkeypatch):
-    """Send every multi-worker random-test to the pool, so that a fake pool
-    sees all of it; the Q_4 and Q_3 checks never reach it."""
+def inline_pool(monkeypatch):
+    """Send every multi-worker random-test to a fake pool on 64 CPUs, so
+    that the pool sees all of it and the worker count alone bounds it."""
     monkeypatch.setattr(verify_mod, "_POOL_BUDGET", 0)
-
-
-@pytest.mark.usefixtures("no_pool_budget")
-def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
+    InlinePool.requested, InlinePool.spans = [], []
+
+
+@pytest.mark.usefixtures("inline_pool")
+def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-    InlinePool.requested = []
     serial = random_agreement_test(4, 28, seed=1)
     wide = random_agreement_test(4, 28, seed=1, workers=11440)
     assert InlinePool.requested == [2]
-    assert wide.worker_count == 11440
+    assert wide.worker_count == 2
     assert wide.deterministic_digest == serial.deterministic_digest
 
+    # an unknown CPU count is one process: in-process, no pool
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
     InlinePool.requested = []
-    assert random_agreement_test(4, 28, seed=1, workers=8).failed == 0
-    assert InlinePool.requested == [1]
+    none = random_agreement_test(4, 28, seed=1, workers=8)
+    assert none.failed == 0 and none.worker_count == 1
+    assert InlinePool.requested == []
 
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
-    InlinePool.requested = []
     random_agreement_test(4, 28, seed=1, workers=3)
     assert InlinePool.requested == [3]
 
 
-@pytest.mark.usefixtures("no_pool_budget")
-def test_spans_are_bounded_by_the_universe(monkeypatch):
-    # far more workers than trials: one span per trial
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-    InlinePool.requested, InlinePool.spans = [], []
+@pytest.mark.usefixtures("inline_pool")
+def test_spans_are_bounded_by_the_universe():
+    # far more workers than trials: one span, and one process, per trial
     serial = random_agreement_test(4, 28, seed=1)
     wide = random_agreement_test(4, 28, seed=1, workers=10**7)
     assert wide.deterministic_digest == serial.deterministic_digest
-    assert wide.worker_count == 10**7
+    assert wide.worker_count == 28
     assert InlinePool.spans == [(i, i + 1) for i in range(28)]
-    assert InlinePool.requested == [2]
-
-
-@pytest.mark.usefixtures("no_pool_budget")
-def test_proposition_report_is_worker_invariant(monkeypatch):
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    serial = verify_proposition_exhaustive(workers=1)
-    assert serial.details["cycle_only_masks"]
-    for k in (2, 3, 5):
-        split = verify_proposition_exhaustive(workers=k)
-        assert split.deterministic_digest == serial.deterministic_digest
-        assert split.details == serial.details
-
-
-@pytest.mark.usefixtures("no_pool_budget")
-def test_symmetry_reduced_theorem_report_is_worker_invariant(monkeypatch):
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    serial = verify_theorem_exhaustive(4, 9, symmetry_reduced=True)
-    assert serial.details == {"distinct_classes": 56, "orbit_accounting_total": 11440}
-    for k in (2, 3, 5):
-        split = verify_theorem_exhaustive(4, 9, workers=k, symmetry_reduced=True)
-        assert split.deterministic_digest == serial.deterministic_digest
-        assert split.details == serial.details
+    assert InlinePool.requested == [28]
 
 
 def _without_run_fields(report):
     return {k: v for k, v in report.to_dict().items() if k not in ("wall_time", "worker_count")}
 
 
-@pytest.mark.usefixtures("no_pool_budget")
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda workers: [verify_theorem_exhaustive(4, 9, workers=workers)],
-        lambda workers: [verify_theorem_exhaustive(4, 9, workers, symmetry_reduced=True)],
-        lambda workers: [verify_proposition_exhaustive(workers)],
-        lambda workers: verify_case_claims("all", workers),
-        lambda workers: [random_agreement_test(5, 40, seed=3, workers=workers)],
-    ],
-    ids=["theorem", "theorem-symmetry-reduced", "proposition", "cases", "random-agreement"],
-)
-def test_every_report_is_worker_invariant(monkeypatch, check):
-    # everything but the run's own time and worker count, details included
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    serial = [_without_run_fields(r) for r in check(1)]
-    split = [_without_run_fields(r) for r in check(3)]
-    assert split == serial
+@pytest.mark.usefixtures("inline_pool")
+def test_every_report_is_worker_invariant():
+    # random-test is the one check with a worker count: everything but the
+    # run's own time and worker count is the same, details included
+    serial = random_agreement_test(5, 40, seed=3, workers=1)
+    split = random_agreement_test(5, 40, seed=3, workers=3)
+    assert InlinePool.spans == [(0, 14), (14, 27), (27, 40)]
+    assert (serial.worker_count, split.worker_count) == (1, 3)
+    assert _without_run_fields(split) == _without_run_fields(serial)
+
+
+def test_a_real_two_process_pool_gives_the_serial_report(monkeypatch):
+    monkeypatch.setattr(verify_mod, "_POOL_BUDGET", 0)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    serial = random_agreement_test(5, 40, seed=3, workers=1)
+    split = random_agreement_test(5, 40, seed=3, workers=2)
+    assert split.worker_count == 2
+    assert _without_run_fields(split) == _without_run_fields(serial)
 
 
 def test_witness_mask_holds_exactly_the_witness_vertices():
@@ -249,7 +223,7 @@ def test_claw_hoods_fix_their_center():
 
 
 def _q4_subsets(size):
-    return list(verify_mod._subsets(size, 16, 0, math.comb(16, size)))
+    return list(verify_mod._subsets(size, 16))
 
 
 def _reject_least_claw(monkeypatch):
@@ -295,17 +269,7 @@ def test_theorem_check_tests_each_subset_for_the_claw(monkeypatch):
         assert bool(failing) == (size < 16)
 
 
-@pytest.mark.usefixtures("no_pool_budget")
-def test_theorem_check_with_a_rejected_claw_is_worker_invariant(monkeypatch):
-    _reject_least_claw(monkeypatch)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    for size in (9, 10):
-        serial = _without_run_fields(verify_theorem_exhaustive(4, size))
-        assert serial["failed"] > 0
-        assert _without_run_fields(verify_theorem_exhaustive(4, size, workers=3)) == serial
-
-
-@pytest.mark.usefixtures("no_pool_budget")
+@pytest.mark.usefixtures("inline_pool")
 def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
     # trials fail by the mask they draw; the first span (0, 34) holds 13
     # failures, so the 16-entry cap is filled across a span boundary
@@ -317,11 +281,9 @@ def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(verify_mod, "find_witness_inductive", every_third_mask)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     drawn = [verify_mod._trial_subset(5, 3, i).to_hex() for i in range(100)]
     failing = [label for label in drawn if int(label, 16) % 3 == 0]
     assert len(failing) == 30 and sum(int(label, 16) % 3 == 0 for label in drawn[:34]) == 13
-    InlinePool.spans = []
     serial = random_agreement_test(5, 100, seed=3, workers=1)
     split = random_agreement_test(5, 100, seed=3, workers=3)
     assert InlinePool.spans == [(0, 34), (34, 67), (67, 100)]
@@ -334,6 +296,7 @@ def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
     assert labels.count("") == 30 - 16
 
 
+@pytest.mark.usefixtures("inline_pool")
 @pytest.mark.parametrize("share, spans", [(1 / 200, []), (1 / 50, [(0, 50), (50, 100)])])
 def test_the_estimated_cost_alone_picks_the_pool(monkeypatch, share, spans):
     # 100 trials, each estimated at share of the budget: under the budget
@@ -342,40 +305,13 @@ def test_the_estimated_cost_alone_picks_the_pool(monkeypatch, share, spans):
     # 20 us + 16 x 0.1 us a trial.
     clock = SimpleNamespace(perf_counter=count(0, 3600).__next__)
     monkeypatch.setattr(verify_mod, "time", clock)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod, "_POOL_BUDGET", (2e-5 + 16e-7) / share)
-    InlinePool.spans = []
     report = random_agreement_test(4, 100, seed=1, workers=2)
     assert InlinePool.spans == spans
-    assert report.failed == 0 and report.worker_count == 2
+    assert report.failed == 0 and report.worker_count == max(len(spans), 1)
 
 
-@pytest.mark.usefixtures("no_pool_budget")
-def test_only_random_test_reaches_the_pool(monkeypatch):
-    # with no budget at all, the Q_4 and Q_3 checks still run in-process
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
-    InlinePool.requested = []
-    verify_theorem_exhaustive(4, 9, workers=3)
-    verify_theorem_exhaustive(4, 9, workers=3, symmetry_reduced=True)
-    verify_proposition_exhaustive(workers=3)
-    verify_case_claims("all", workers=3)
-    assert InlinePool.requested == []
-    random_agreement_test(4, 3, seed=1, workers=3)
-    assert InlinePool.requested == [3]
-
-
-def test_the_q4_and_q3_checks_start_no_pool(monkeypatch):
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
-    InlinePool.requested = []
-    verify_theorem_exhaustive(4, 9, workers=2)
-    verify_theorem_exhaustive(4, 9, workers=2, symmetry_reduced=True)
-    verify_proposition_exhaustive(workers=2)
-    verify_case_claims("all", workers=2)
-    assert InlinePool.requested == []
-
-
-@pytest.mark.usefixtures("no_pool_budget")
+@pytest.mark.usefixtures("inline_pool")
 def test_random_agreement_failures_keep_trial_order(monkeypatch):
     # trials fail by the mask they draw, with two different causes
     real = verify_mod.find_witness_inductive
@@ -388,7 +324,6 @@ def test_random_agreement_failures_keep_trial_order(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(verify_mod, "find_witness_inductive", patchy)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     serial = random_agreement_test(5, 40, seed=3, workers=1)
     split = random_agreement_test(5, 40, seed=3, workers=3)
     causes = serial.details["failure_causes"]
