@@ -92,7 +92,7 @@ def _iter_bits(mask: int) -> list[int]:
 
     The package's one set-bit list (Warren, *Hacker's Delight* §2-1), for
     the path walk of ``detect.find_induced_cycle`` and the import-time
-    tables ``_BYTE_BITS`` and ``witness._EVEN_HALF_SPREAD``.
+    table ``_BYTE_BITS``.
     ``detect.claw_center`` (an early-exit walk), ``detect.claw_at`` (three
     ``x & (x - 1)`` picks) and the extremal search in ``verify._max_free``
     (lowest and highest bit) peel bits inline: they need only a few bits.

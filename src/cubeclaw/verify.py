@@ -15,10 +15,10 @@ No Q_4 or Q_3 check enumerates more than C(16,9) = 11440 configurations,
 in well under a process-pool start, so they take no worker count and run
 in one process.  Only ``random_agreement_test``, whose trials grow with
 2^n, takes ``workers``: once its estimated serial cost reaches
-``_POOL_BUDGET``, it runs one contiguous span of trials on each of
-``min(workers, trials, os.cpu_count())`` processes, reassembled in order,
-so its digest is the same for any worker count.  A report's
-``worker_count`` is the number of processes that ran it.
+``_POOL_BUDGET``, it maps its trials in order over a process pool, in
+chunks of ceil(trials / min(workers, trials, os.cpu_count())) trials,
+one per process, so its digest is the same for any worker count.  A
+report's ``worker_count`` is the number of processes that ran it.
 
 The checks:
 
@@ -59,6 +59,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from .detect import (
@@ -74,14 +75,8 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _block_mask, _orbit, neighbor_masks
-from .witness import (
-    _EVEN_HALF_Q4,
-    _EVEN_HALF_SPREAD,
-    find_witness_inductive,
-    required_size,
-    resolve_five_four,
-)
+from .hypercube import VertexSet, _block_mask, _orbit, _spread_blocks, neighbor_masks
+from .witness import _EVEN_HALF_Q4, find_witness_inductive, required_size, resolve_five_four
 
 COUNTEREXAMPLE_CAP = 16
 
@@ -181,17 +176,18 @@ def unrank_subset(index: int, size: int, universe: int) -> int:
 
 def _subsets(size: int, universe: int):
     """The ``size``-subsets of [0, universe) in increasing-mask order: the
-    least is ``(1 << size) - 1``, and each next one a ``gosper_next`` step."""
+    least is ``(1 << size) - 1``, and each next one a ``gosper_next`` step;
+    the empty set, the one 0-subset, takes none."""
     mask = (1 << size) - 1
     for _ in range(math.comb(universe, size)):
         yield mask
-        mask = gosper_next(mask)
+        mask = mask and gosper_next(mask)
 
 
 def _half_subsets(size: int, side: int) -> list[int]:
     """The Q_4 masks of the ``size``-subsets of the coordinate-1 = ``side``
     half, in increasing-mask order."""
-    return [_EVEN_HALF_SPREAD[p] << side for p in _subsets(size, 8)]
+    return [_spread_blocks(p, 16, 1) << side for p in _subsets(size, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +299,28 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     return VertexSet(n, int(bits[::-1], 2))
 
 
-def _random_trials(n, seed, start, stop):
-    for index in range(start, stop):
-        s = _trial_subset(n, seed, index)
-        try:
-            w, trace = find_witness_inductive(s)
-            sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
-            bound_ok = all(
-                sum(st.side_cardinalities) == prev and chosen >= (1 << (st.dim - 2)) + 1
-                for st, prev, chosen in zip(trace.steps, sizes, sizes[1:])
-            )
-            if not check_witness(w, s):
-                cause = "invalid_witness"
-            elif not bound_ok:
-                cause = "trace_bound"
-            elif n <= 5 and find_theorem_witness(s) is None:
-                cause = "direct_search"
-            else:
-                cause = None
-        except TheoremViolationError as exc:
-            cause = type(exc).__name__
-        yield None if cause is None else s.to_hex(), cause
+def _random_trial(n, seed, index):
+    """Trial ``index``'s ``(failure, cause)``: its subset's hex label and why
+    the extraction failed, else ``(None, None)``."""
+    s = _trial_subset(n, seed, index)
+    try:
+        w, trace = find_witness_inductive(s)
+        sizes = [len(s)] + [st.side_cardinalities[st.chosen_side] for st in trace.steps]
+        bound_ok = all(
+            sum(st.side_cardinalities) == prev and chosen >= required_size(st.dim - 1)
+            for st, prev, chosen in zip(trace.steps, sizes, sizes[1:])
+        )
+        if not check_witness(w, s):
+            cause = "invalid_witness"
+        elif not bound_ok:
+            cause = "trace_bound"
+        elif n <= 5 and find_theorem_witness(s) is None:
+            cause = "direct_search"
+        else:
+            cause = None
+    except TheoremViolationError as exc:
+        cause = type(exc).__name__
+    return None if cause is None else s.to_hex(), cause
 
 
 # ---------------------------------------------------------------------------
@@ -331,37 +328,19 @@ def _random_trials(n, seed, start, stop):
 # ---------------------------------------------------------------------------
 
 
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` <= ``total`` contiguous nonempty spans covering [0, total)."""
-    chunk, extra = divmod(total, parts)
-    bounds = [i * chunk + min(i, extra) for i in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _random_trials_span(n, seed, start, stop) -> list:
-    """Trials [start, stop) as a pool worker sends them back.  The spans are
-    folded in order, so a failure past a span's first ``COUNTEREXAMPLE_CAP``
-    never reaches the report's counterexamples: it is sent labelled ""."""
-    pairs = list(_random_trials(n, seed, start, stop))
-    for i in [i for i, (failure, _) in enumerate(pairs) if failure][COUNTEREXAMPLE_CAP:]:
-        pairs[i] = ("", pairs[i][1])
-    return pairs
-
-
 def _random_agreement_stream(n, seed, trials, processes):
-    """Each trial's ``(failure, cause)`` in trial order: in-process, loading no
-    pool, for one process, else one span per process of a pool started lazily."""
+    """Each trial's ``(failure, cause)`` in trial order: through the built-in
+    ``map``, loading no pool, for one process, else through the ``map`` of a
+    pool started lazily, in chunks of ceil(trials / processes) trials."""
     global ProcessPoolExecutor
+    trial = partial(_random_trial, n, seed)
     if processes == 1:
-        yield from _random_trials(n, seed, 0, trials)
+        yield from map(trial, range(trials))
         return
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    spans = _ranges(trials, processes)
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        futures = [pool.submit(_random_trials_span, n, seed, lo, hi) for lo, hi in spans]
-        for future in futures:
-            yield from future.result()
+        yield from pool.map(trial, range(trials), chunksize=-(-trials // processes))
 
 
 def _run_check(check_name: str, stream) -> tuple[VerificationReport, list]:
@@ -522,8 +501,9 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     also cross-checked against direct search.
 
     Once the serial cost, estimated without reading a clock, reaches
-    ``_POOL_BUDGET``, the trials run one contiguous span per process on
-    ``min(workers, trials, os.cpu_count())`` processes.
+    ``_POOL_BUDGET``, the trials are mapped in order over a process pool,
+    in chunks of ceil(trials / min(workers, trials, os.cpu_count())) trials,
+    one per process; ``worker_count`` is the number of chunks.
     """
     lo, hi = _RANDOM_DIMS
     if not lo <= n <= hi:
@@ -533,7 +513,9 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     item_s = 2e-5 + 1e-7 * (1 << n)  # s: fitted to trials at n = 4..14 (2 vCPUs, Python 3.11)
-    processes = 1 if trials * item_s < _POOL_BUDGET else min(workers, trials, os.cpu_count() or 1)
+    asked = 1 if trials * item_s < _POOL_BUDGET else min(workers, trials, os.cpu_count() or 1)
+    chunk = -(-trials // asked)  # ceil(trials / asked) trials a process
+    processes = -(-trials // chunk)  # one per chunk, never more than asked
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
     report, causes = _run_check(name, _random_agreement_stream(n, seed, trials, processes))
     report.worker_count = processes

@@ -41,14 +41,11 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import InsufficientCardinalityError, TheoremViolationError
-from .hypercube import VertexSet, _block_mask, _compress, _iter_bits
+from .hypercube import VertexSet, _block_mask, _compress
 
 # The coordinate-1 halves of Q_4 (coordinate 1 = 0, = 1) as Q_4 masks.
 _EVEN_HALF_Q4 = 0x5555
 _ODD_HALF_Q4 = 0xAAAA
-# _EVEN_HALF_SPREAD[p]: the Q_3 mask p placed on the coordinate-1 = 0 half
-# of Q_4, embed(VertexSet(3, p), 1, 0).mask; shifted left by b, on half b.
-_EVEN_HALF_SPREAD = tuple(sum(1 << 2 * v for v in _iter_bits(p)) for p in range(256))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,8 @@ from cubeclaw.hypercube import (
     split,
     vertex_from_text,
 )
-from cubeclaw.witness import (
-    _EVEN_HALF_SPREAD,
-    base_case_solve,
-    find_witness_inductive,
-    required_size,
-)
+from cubeclaw.verify import _half_subsets, _subsets
+from cubeclaw.witness import base_case_solve, find_witness_inductive, required_size
 from oracles import induces_cycle, induced_edges, naive_adjacent
 
 
@@ -294,10 +290,11 @@ def test_orbit_and_canonical_form_work_on_the_mask(monkeypatch):
         assert hypercube.canonical_form(VertexSet(n, 1 << (n - 1))) == VertexSet(n, 1)
 
 
-def test_even_half_spread_is_the_embedding():
-    for p in range(256):
-        for bit in (0, 1):
-            assert _EVEN_HALF_SPREAD[p] << bit == embed(VertexSet(3, p), 1, bit).mask
+def test_half_subsets_are_the_embedding():
+    for size in range(9):
+        for side in (0, 1):
+            expected = [embed(VertexSet(3, p), 1, side).mask for p in _subsets(size, 8)]
+            assert _half_subsets(size, side) == expected
 
 
 def test_acceptance_extraction_at_dim_cap():

@@ -113,11 +113,11 @@ def test_random_agreement_passing_trials_add_no_cause():
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each span in-process and
-    records the process count it was asked for and the spans submitted."""
+    """Stands in for ProcessPoolExecutor: runs the map in-process and records
+    the process count it was asked for and the chunks of calls it was given."""
 
     requested: list = []
-    spans: list = []
+    chunks: list = []
 
     def __init__(self, max_workers):
         InlinePool.requested.append(max_workers)
@@ -128,15 +128,11 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        InlinePool.spans.append(args[-2:])
-        result = fn(*args)
-
-        class Done:
-            def result(self):
-                return result
-
-        return Done()
+    def map(self, fn, *iterables, chunksize):
+        calls = list(zip(*iterables))
+        for lo in range(0, len(calls), chunksize):
+            InlinePool.chunks.append((lo, min(lo + chunksize, len(calls))))
+        return [fn(*args) for args in calls]
 
 
 @pytest.fixture
@@ -146,7 +142,7 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(verify_mod, "_POOL_BUDGET", 0)
     monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 64)
-    InlinePool.requested, InlinePool.spans = [], []
+    InlinePool.requested, InlinePool.chunks = [], []
 
 
 @pytest.mark.usefixtures("inline_pool")
@@ -172,13 +168,18 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
 
 @pytest.mark.usefixtures("inline_pool")
 def test_spans_are_bounded_by_the_universe():
-    # far more workers than trials: one span, and one process, per trial
+    # far more workers than trials: one chunk, and one process, per trial
     serial = random_agreement_test(4, 28, seed=1)
     wide = random_agreement_test(4, 28, seed=1, workers=10**7)
     assert wide.deterministic_digest == serial.deterministic_digest
     assert wide.worker_count == 28
-    assert InlinePool.spans == [(i, i + 1) for i in range(28)]
+    assert InlinePool.chunks == [(i, i + 1) for i in range(28)]
     assert InlinePool.requested == [28]
+    # an uneven split: chunks of ceil(5 / 4) = 2 trials fill 3 processes
+    InlinePool.requested, InlinePool.chunks = [], []
+    uneven = random_agreement_test(4, 5, seed=1, workers=4)
+    assert InlinePool.chunks == [(0, 2), (2, 4), (4, 5)]
+    assert InlinePool.requested == [3] and uneven.worker_count == 3
 
 
 def _without_run_fields(report):
@@ -191,7 +192,7 @@ def test_every_report_is_worker_invariant():
     # run's own time and worker count is the same, details included
     serial = random_agreement_test(5, 40, seed=3, workers=1)
     split = random_agreement_test(5, 40, seed=3, workers=3)
-    assert InlinePool.spans == [(0, 14), (14, 27), (27, 40)]
+    assert InlinePool.chunks == [(0, 14), (14, 28), (28, 40)]
     assert (serial.worker_count, split.worker_count) == (1, 3)
     assert _without_run_fields(split) == _without_run_fields(serial)
 
@@ -271,8 +272,8 @@ def test_theorem_check_tests_each_subset_for_the_claw(monkeypatch):
 
 @pytest.mark.usefixtures("inline_pool")
 def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
-    # trials fail by the mask they draw; the first span (0, 34) holds 13
-    # failures, so the 16-entry cap is filled across a span boundary
+    # trials fail by the mask they draw; the first chunk (0, 34) holds 13
+    # failures, so the 16-entry cap is filled across a chunk boundary
     real = verify_mod.find_witness_inductive
 
     def every_third_mask(s):
@@ -286,14 +287,10 @@ def test_runner_keeps_enumeration_order_across_spans(monkeypatch):
     assert len(failing) == 30 and sum(int(label, 16) % 3 == 0 for label in drawn[:34]) == 13
     serial = random_agreement_test(5, 100, seed=3, workers=1)
     split = random_agreement_test(5, 100, seed=3, workers=3)
-    assert InlinePool.spans == [(0, 34), (34, 67), (67, 100)]
+    assert InlinePool.chunks == [(0, 34), (34, 68), (68, 100)]
     assert split.counterexamples == serial.counterexamples == failing[:16]
     assert split.failed == serial.failed == 30
     assert split.details == serial.details
-    # a span sends back its first 16 failure labels only
-    labels = [failure for failure, _ in verify_mod._random_trials_span(5, 3, 0, 100)]
-    assert [label for label in labels if label] == failing[:16]
-    assert labels.count("") == 30 - 16
 
 
 @pytest.mark.usefixtures("inline_pool")
@@ -307,7 +304,7 @@ def test_the_estimated_cost_alone_picks_the_pool(monkeypatch, share, spans):
     monkeypatch.setattr(verify_mod, "time", clock)
     monkeypatch.setattr(verify_mod, "_POOL_BUDGET", (2e-5 + 16e-7) / share)
     report = random_agreement_test(4, 100, seed=1, workers=2)
-    assert InlinePool.spans == spans
+    assert InlinePool.chunks == spans
     assert report.failed == 0 and report.worker_count == max(len(spans), 1)
 
 

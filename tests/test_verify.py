@@ -37,6 +37,9 @@ def test_unranking_matches_gosper_enumeration():
             assert unrank_subset(index, size, universe) == gosper[-1]
             gosper.append(gosper_next(gosper[-1]))
         assert list(_subsets(size, universe)) == gosper[:total]
+    for size in range(9):  # the empty and the full set too
+        masks = sorted(sum(1 << v for v in c) for c in combinations(range(8), size))
+        assert list(_subsets(size, 8)) == masks
     assert unrank_subset(0, 9, 16) == (1 << 9) - 1
     assert unrank_subset(math.comb(16, 9) - 1, 9, 16) == 0b1111111110000000
     with pytest.raises(ValueError):
