@@ -304,15 +304,11 @@ def run(args: argparse.Namespace) -> int:
         forbidden = ("claw", f"C{args.cycle}")
         result = extremal_search(args.n, forbidden)
         document = {"extremal": result.to_dict()}
-        cap = (
-            "none (n <= 2, uncapped search)"
-            if result.half_cap is None
-            else f"f({result.dim - 1}) = {result.half_cap}"
-        )
         table = (
             f"max structure-free size in Q_{result.dim} avoiding {'/'.join(result.forbidden)}:"
             f" {result.max_size}\ncertificate (hex mask): {result.certificate.to_hex()}\n"
-            f"half cap: {cap}\nnodes explored: {result.nodes_explored}"
+            f"half cap: f({result.dim - 1}) = {result.half_cap}\n"
+            f"nodes explored: {result.nodes_explored}"
         )
         _emit(args, document, table)
         return 0

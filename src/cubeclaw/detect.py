@@ -9,7 +9,7 @@ detection is a single degree scan.  That scan is ``claw_center``, and
 solver, the case-claim and theorem checks all go through these two.
 ``classify_five_set`` needs no search: in the bipartite cube, the count
 of degree-1 vertices tells a five-vertex path from a disconnected set.
-``_path_from`` is the one path walk, shared with the extremal search.
+``_path_from`` is the one path walk, shared with ``verify._join_cut``.
 
 Induced-cycle search is a depth-first path extension with chord pruning:
 a partial path is abandoned as soon as its tip is adjacent to any path

@@ -44,8 +44,9 @@ The checks:
   tight -- the largest structure-free subset has exactly half the
   vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.  The search at
   n caps each half of a coordinate split at the maximum it finds at
-  n - 1, the paper's induction; so the n = 5 maximum rests on the
-  half cap f(4) = 8, itself derived by the same search.
+  n - 1, the paper's induction from f(0) = 1 up, and a vertex joins a
+  set only through ``_join_cut``; so the n = 5 maximum rests on the half
+  cap f(4) = 8, itself derived by the same search.
 - ``random_agreement_test``: seeded random cross-validation of the
   inductive extractor against direct search.
 """
@@ -128,9 +129,9 @@ class ExtremalResult:
     max_size: int
     certificate: VertexSet
     nodes_explored: int
-    half_cap: Optional[int] = None
+    half_cap: int
     """f(n-1), the most a structure-free set can hold in one half of a
-    coordinate split; None at n <= 2, where the search runs uncapped."""
+    coordinate split; 1 at n = 1, whose halves are single vertices."""
     metrics: dict = field(default_factory=dict)
     """Search counters, outside the pinned output: ``prunes`` counts the
     branches cut by each bound."""
@@ -549,11 +550,11 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     highest label is decided first and exclusion is tried before
     inclusion, so complete sets are reached in increasing-mask order and
     the first maximum found is the lexicographically least one.  A branch
-    is cut when a vertex would reach in-set degree 3 (that is a claw),
-    when the chosen vertices would close an induced C_k, when the
-    undecided vertices cannot lift the current count past the best, or
-    when the two halves of some coordinate split cannot.  Every cut is
-    read off the mask of chosen vertices, so no node keeps state to undo.
+    is cut when ``_join_cut`` finds that a vertex would reach in-set
+    degree 3 (a claw) or close an induced C_k, when the undecided vertices
+    cannot lift the current count past the best, or when the two halves
+    of some coordinate split cannot.  Every cut is read off the mask of
+    chosen vertices, so no node keeps state to undo.
     An include child inherits its parent's passed bounds unless a better set
     was found in between, and the half cap is one slack test per split.
     Before returning, the detectors confirm that the certificate has
@@ -564,10 +565,10 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     into two copies of Q_{n-1}, and a structure-free set meets each copy
     in a structure-free set, so neither half holds more than f(n-1), the
     maximum one dimension down.  That half cap is not a constant: it is
-    derived by the same search at n - 1, recursively, down to an
-    exhaustive search at n <= 2, and recorded as ``half_cap``.  So the
-    n = 5 maximum rests on f(4) = 8, itself found exhaustively under the
-    cap f(3) = 6.
+    derived by the same search at n - 1, recursively, down to f(0) = 1 at
+    n = 1, whose halves are single vertices, and recorded as ``half_cap``.
+    So the n = 5 maximum rests on f(4) = 8, itself found exhaustively
+    under the cap f(3) = 6.
 
     Supported ranges: n in 1..5 with C8 forbidden, n = 3 with C6 forbidden.
     """
@@ -580,10 +581,31 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     return _max_free(n, k)
 
 
+def _join_cut(v: int, chosen: int, nbr, n: int, k: int) -> Optional[str]:
+    """Why vertex v cannot join ``chosen``, a mask of Q_n with neighbor table
+    ``nbr``: "claw_degree", "closed_cycle", or None.  The contract: every
+    in-set degree of ``chosen`` is at most 2, it has no C_k component, and
+    v's chosen neighbors are pairwise non-adjacent, as in any cube.  So v
+    makes a claw iff it has three of them or one of them has two, and closes
+    an induced C_k iff its two end one chosen path of k - 1 vertices."""
+    hood = nbr[v] & chosen
+    if not hood:
+        return None
+    degree = hood.bit_count()
+    u1, u2 = (hood & -hood).bit_length() - 1, hood.bit_length() - 1  # its least and greatest
+    if degree > 2 or (nbr[u1] & chosen).bit_count() == 2 or (nbr[u2] & chosen).bit_count() == 2:
+        return "claw_degree"
+    if degree == 2:
+        path = _path_from(u1, chosen, n)
+        if path[-1] == u2 and len(path) == k - 1:
+            return "closed_cycle"
+    return None
+
+
 def _max_free(n: int, k: int) -> ExtremalResult:
     """The search behind ``extremal_search``, without its range checks,
-    so that the half cap can recurse below the supported range."""
-    half_cap = _max_free(n - 1, k).max_size if n > 2 else None
+    so that the half cap can recurse below the supported range to 1 at n = 1."""
+    half_cap = _max_free(n - 1, k).max_size if n > 1 else 1
 
     nverts = 1 << n
     nbr = neighbor_masks(n)
@@ -606,7 +628,7 @@ def _max_free(n: int, k: int) -> ExtremalResult:
             if total <= best_size:
                 cuts["count_bound"] += 1
                 return
-            if v >= 0 and half_cap is not None:
+            if v >= 0:
                 # avail: the chosen and the undecided vertices.  As total >
                 # best_size, min(share, half_cap) over both halves sums past it
                 # unless 2 * half_cap <= best_size or one share is at most slack.
@@ -627,28 +649,10 @@ def _max_free(n: int, k: int) -> ExtremalResult:
             return
 
         dfs(v - 1, count, chosen, -1)
-
-        # taking v makes a claw if hood, its pairwise non-adjacent chosen neighbors,
-        # has three bits, or if its lowest or highest bit already has two
-        hood = nbr[v] & chosen
-        if hood:
-            degree = hood.bit_count()
-            u1 = (hood & -hood).bit_length() - 1
-            u2 = hood.bit_length() - 1
-            if (
-                degree > 2
-                or (nbr[u1] & chosen).bit_count() == 2
-                or (nbr[u2] & chosen).bit_count() == 2
-            ):
-                cuts["claw_degree"] += 1
-                return
-            # joining the two ends u1 < u2 of one chosen path closes a cycle
-            if degree == 2:
-                path = _path_from(u1, chosen, n)
-                if path[-1] == u2 and len(path) == k - 1:
-                    cuts["closed_cycle"] += 1
-                    return
-
+        cut = _join_cut(v, chosen, nbr, n, k)
+        if cut:
+            cuts[cut] += 1
+            return
         dfs(v - 1, count + 1, chosen | (1 << v), tested)
 
     dfs(nverts - 1, 0, 0, -1)

@@ -97,6 +97,18 @@ def induced_cycle_exists(members, dim: int, k: int) -> bool:
     return any(induces_cycle(sub, dim) for sub in combinations(sorted(members), k))
 
 
+def join_verdict(members, v: int, dim: int, k: int):
+    """Why v cannot join ``members``, a set with no claw and no induced
+    C_k: "claw_degree" if the union has a claw, else "closed_cycle" if v
+    and some k - 1 members induce a C_k, else None."""
+    members = list(members)
+    if claw_exists([*members, v], dim):
+        return "claw_degree"
+    if any(induces_cycle([*sub, v], dim) for sub in combinations(members, k - 1)):
+        return "closed_cycle"
+    return None
+
+
 def classify_five(members, dim: int) -> str:
     deg = degree_map(members, dim)
     if max(deg.values()) >= 3:

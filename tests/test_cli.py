@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from cubeclaw import cli
 from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
-from cubeclaw.hypercube import VertexSet, vertex_from_text, vertex_to_text
+from cubeclaw.hypercube import VertexSet, hex_width, vertex_from_text, vertex_to_text
 from oracles import parse_lines
 
 
@@ -233,6 +234,60 @@ def test_block_path_matches_per_line_reader(tmp_path, monkeypatch):
             monkeypatch.setattr(cli, "_LINE_BLOCK", 211)
             assert _parse_outcome(lambda: parse_set(text, n)) == expected, (n, name, 211)
             monkeypatch.undo()
+
+
+# every break str.splitlines knows
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# characters no vertex or mask digit may be: non-ASCII digits that int()
+# would read, an underscore it would skip, inner whitespace, other letters
+_BAD_CHARS = "2G_x \t\xa0\u0661\u0967\uff11\xb9"
+
+
+def _fuzz_case(rng):
+    """A seeded input for the set reader: n, and text of random binary
+    lines or one hex token, with bad characters, blank lines and repeats."""
+    n = rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 9, 12))
+    if rng.random() < 0.3:
+        digits = rng.choice(("0123456789ABCDEF", "0123456789abcdefABCDEF"))
+        token = "".join(rng.choice(digits) for _ in range(hex_width(n)))
+        lines = [rng.choice(("", "0x", "0X")) + token]
+    else:
+        lines = ["".join(rng.choice("01") for _ in range(n)) for _ in range(rng.randint(0, 24))]
+        if lines and rng.random() < 0.2:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):  # inserted or in place of one
+        if lines:
+            i = rng.randrange(len(lines))
+            col = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:col] + rng.choice(_BAD_CHARS) + lines[i][col + rng.randint(0, 1) :]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("", " ", "\t ")))
+    breaks = rng.choice((_BREAKS[:1], rng.sample(_BREAKS, 1), _BREAKS))
+    ends = [rng.choice(breaks) for _ in lines]
+    if ends and rng.random() < 0.5:
+        ends[-1] = ""
+    return n, "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_set_reader_fuzz_matches_per_line_reader(tmp_path, monkeypatch):
+    # 2,000 seeded inputs, parsed in blocks of 64 K, 7 and 1 characters and
+    # every 40th also from a file: the set, or the message/line/column, of
+    # the per-line reference parser
+    rng = random.Random(15)
+    path = tmp_path / "set.txt"
+    kinds = Counter()
+    for i in range(2000):
+        n, text = _fuzz_case(rng)
+        expected = _parse_outcome(lambda: parse_lines(text, n))
+        kinds[expected[0]] += 1
+        for block in (1 << 16, 7, 1):
+            monkeypatch.setattr(cli, "_LINE_BLOCK", block)
+            assert _parse_outcome(lambda: parse_set(text, n)) == expected, (n, text, block)
+        if i % 40 == 0:
+            path.write_bytes(text.encode())
+            args = build_parser().parse_args(["witness", "--n", str(n), "--set-file", str(path)])
+            assert _parse_outcome(lambda: cli._load_set(args)) == expected, (n, text)
+    assert min(kinds["set"], kinds["error"]) > 500
 
 
 def run_cli(capsys, *argv):

@@ -1,8 +1,9 @@
-"""The half-cube cap of the extremal search, and orbit marking in the
-symmetry-reduced theorem check."""
+"""The half-cube cap and the join step of the extremal search, and orbit
+marking in the symmetry-reduced theorem check."""
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 
@@ -10,9 +11,9 @@ import pytest
 
 import cubeclaw.verify as verify_mod
 from cubeclaw.errors import TheoremViolationError
-from cubeclaw.hypercube import VertexSet, _orbit, canonical_form, set_from_hex
-from cubeclaw.verify import extremal_search, gosper_next, verify_theorem_exhaustive
-from oracles import automorphic_image, claw_exists, induced_cycle_exists
+from cubeclaw.hypercube import VertexSet, _orbit, canonical_form, neighbor_masks, set_from_hex
+from cubeclaw.verify import _join_cut, extremal_search, gosper_next, verify_theorem_exhaustive
+from oracles import automorphic_image, claw_exists, induced_cycle_exists, join_verdict
 
 
 def test_extremal_certificates_and_oracle_check():
@@ -67,9 +68,11 @@ def test_half_cap_slack_test_equals_the_clamped_sum():
                     assert clamped == (slack >= cap or side1 <= slack or side0 <= slack)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_half_cap_is_the_search_one_dimension_down(n):
-    assert extremal_search(n).half_cap == extremal_search(n - 1).max_size
+    # each half of Q_1 is one vertex: the induction starts at f(0) = 1
+    below = extremal_search(n - 1).max_size if n > 1 else 1
+    assert extremal_search(n).half_cap == below
 
 
 def test_half_cap_comes_from_the_recursion(monkeypatch):
@@ -90,7 +93,56 @@ def test_half_cap_cuts_the_n5_search():
     result = extremal_search(5)
     assert result.nodes_explored < 100_000
     assert result.metrics["prunes"]["half_cap"] > 0
-    assert extremal_search(2).half_cap is None
+    assert extremal_search(2).half_cap == 2
+
+
+def test_join_cut_matches_the_oracle_on_every_free_set_of_q3():
+    # every chosen set the contract allows (no claw, no induced C_k) and
+    # every non-member: 816, 832 and 840 pairs, 24 of them closing a C4 and
+    # 24 a C6; Q_3 has no induced C8
+    nbr = neighbor_masks(3)
+    for k, pairs, closed in ((4, 816, 24), (6, 832, 24), (8, 840, 0)):
+        verdicts = Counter()
+        for mask in range(256):
+            members = [u for u in range(8) if mask >> u & 1]
+            if claw_exists(members, 3) or induced_cycle_exists(members, 3, k):
+                continue
+            for v in range(8):
+                if not mask >> v & 1:
+                    cut = _join_cut(v, mask, nbr, 3, k)
+                    assert cut == join_verdict(members, v, 3, k), (k, mask, v)
+                    verdicts[cut] += 1
+        assert (verdicts.total(), verdicts["closed_cycle"]) == (pairs, closed)
+
+
+def test_join_cut_matches_the_oracle_on_grown_sets():
+    # free sets of Q_4 (until no vertex can join) and Q_5 (to 12 members)
+    # grown one joinable vertex at a time, mostly one touching the set so
+    # that chosen paths form; at each step every non-member is tested
+    closed = 0
+    for n, k, trials, size in (
+        (4, 4, 3, 16), (4, 6, 3, 16), (4, 8, 3, 16), (5, 4, 2, 12), (5, 6, 2, 12), (5, 8, 2, 12)
+    ):
+        rng = random.Random(f"join:{n}:{k}")
+        nbr = neighbor_masks(n)
+        for _ in range(trials):
+            members, mask = [], 0
+            while len(members) < size:
+                joins = []
+                for v in range(1 << n):
+                    if not mask >> v & 1:
+                        cut = _join_cut(v, mask, nbr, n, k)
+                        assert cut == join_verdict(members, v, n, k), (n, k, members, v)
+                        closed += cut == "closed_cycle"
+                        if cut is None:
+                            joins.append(v)
+                if not joins:
+                    break
+                touching = [v for v in joins if nbr[v] & mask]
+                v = rng.choice(touching if touching and rng.random() < 0.9 else joins)
+                members.append(v)
+                mask |= 1 << v
+    assert closed > 0
 
 
 def test_orbit_is_every_automorphic_image():
