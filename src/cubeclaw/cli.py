@@ -31,10 +31,10 @@ import sys
 from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
-from .errors import InsufficientCardinalityError, SetParseError, TheoremViolationError
-from .hypercube import VertexSet, _hex_shaped, check_dim, set_from_hex, vertex_from_text
+from .errors import SetParseError, TheoremViolationError
+from .hypercube import NEIGHBOR_TABLE_DIM_CAP, VertexSet, _hex_shaped, check_dim
+from .hypercube import set_from_hex, vertex_from_text
 from .verify import (
-    _BRUTEFORCE_DIMS,
     _EXTREMAL_C8_DIMS,
     _RANDOM_DIMS,
     _THEOREM_SIZES,
@@ -265,9 +265,9 @@ def run(args: argparse.Namespace) -> int:
         return _finish_reports(args, verify_case_claims(case))
 
     if args.command == "witness":
-        lo, hi = _BRUTEFORCE_DIMS
-        if args.method == "bruteforce" and not lo <= args.n <= hi:
-            raise ValueError(f"--method bruteforce supports n in {lo}..{hi}, got {args.n}")
+        hi = NEIGHBOR_TABLE_DIM_CAP
+        if args.method == "bruteforce" and not 1 <= args.n <= hi:
+            raise ValueError(f"--method bruteforce supports n in 1..{hi}, got {args.n}")
         s = _load_set(args)
         document: dict = {"method": args.method, "set": s.to_hex(), "witness": None}
         case = None
@@ -343,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="most processes to run on (default 1); only random-test starts"
-                " more than one, and only when estimated to outlast a process-pool start;"
-                " the other checks accept it but always run in one process",
+                help="processes to run on (default 1), at most one per CPU and per"
+                " trial; only random-test uses it, the other checks accept it but"
+                " always run in one process",
             )
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(
@@ -381,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("inductive", "bruteforce", "structured"),
         default="inductive",
         help=(
-            "inductive descent (default), direct search (n in %d..%d),"
-            " or case dispatch" % _BRUTEFORCE_DIMS
+            "inductive descent (default), direct search (n in 1..%d),"
+            " or case dispatch" % NEIGHBOR_TABLE_DIM_CAP
         ),
     )
     common(sp, workers=False)
@@ -411,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TheoremViolationError as exc:
         print(f"THEOREM VIOLATION (this is a bug, please report): {exc}", file=sys.stderr)
         return 1
-    except (SetParseError, InsufficientCardinalityError, ValueError) as exc:
+    except ValueError as exc:  # SetParseError and InsufficientCardinalityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

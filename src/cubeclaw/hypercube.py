@@ -49,10 +49,15 @@ def check_vertex(v: int, dim: int) -> int:
     return v
 
 
+NEIGHBOR_TABLE_DIM_CAP = 12
+"""Largest dimension ``neighbor_masks`` builds: 4^n/8 bytes, 2 MB at n = 12."""
+
+
 @lru_cache(maxsize=None)
 def neighbor_masks(dim: int) -> tuple[int, ...]:
     """For each vertex, the membership mask of its n neighbors."""
-    check_dim(dim)
+    if check_dim(dim) > NEIGHBOR_TABLE_DIM_CAP:
+        raise ValueError(f"neighbor table supports dimension <= {NEIGHBOR_TABLE_DIM_CAP}, got {dim}")
     out = []
     for v in range(1 << dim):
         m = 0

@@ -14,11 +14,11 @@ yes/no per Q_4 mask all use ``_claim_stream``.
 No Q_4 or Q_3 check enumerates more than C(16,9) = 11440 configurations,
 in well under a process-pool start, so they take no worker count and run
 in one process.  Only ``random_agreement_test``, whose trials grow with
-2^n, takes ``workers``: once its estimated serial cost reaches
-``_POOL_BUDGET``, it maps its trials in order over a process pool, in
-chunks of ceil(trials / min(workers, trials, os.cpu_count())) trials,
-one per process, so its digest is the same for any worker count.  A
-report's ``worker_count`` is the number of processes that ran it.
+2^n, takes ``workers``: it runs on min(workers, trials, os.cpu_count())
+processes, mapping its trials in order in chunks of ceil(trials /
+processes) trials, one per process, so its digest is the same for any
+worker count.  A report's ``worker_count`` is the number of processes
+that ran it.
 
 The checks:
 
@@ -81,20 +81,14 @@ from .witness import _EVEN_HALF_Q4, find_witness_inductive, required_size, resol
 
 COUNTEREXAMPLE_CAP = 16
 
-_POOL_BUDGET = 0.025  # s: about a first pool start (import, fork, first round trip)
-ProcessPoolExecutor = None  # concurrent.futures' pool class, imported on first use
-
 # what fired in a Q_3 six-subset, indexed by 2 * has_claw + has_c6
 _PROPOSITION_KINDS = ("neither", "cycle_only", "claw_only", "claw_and_cycle")
 
 # Closed ranges (lo, hi) the checks accept, which the CLI help names too:
-# Q_4 subset sizes, random-test dimensions, claw+C8 extremal dimensions,
-# and the dimensions of ``witness --method bruteforce``, which builds the
-# 4^n/8-byte ``neighbor_masks(n)`` table (2 MB at n = 12, 512 MB at 16).
+# Q_4 subset sizes, random-test dimensions and claw+C8 extremal dimensions.
 _THEOREM_SIZES = (9, 16)
 _RANDOM_DIMS = (4, 12)
 _EXTREMAL_C8_DIMS = (1, 5)
-_BRUTEFORCE_DIMS = (1, 12)
 
 RANDOM_GENERATOR_NOTE = (
     "python random.Random (MT19937); trial i reseeded with the string "
@@ -198,12 +192,9 @@ def _half_subsets(size: int, side: int) -> list[int]:
 
 def _theorem_stream(size, symmetry_reduced):
     if symmetry_reduced:
-        # seen: Q_4 mask -> 1 + its class's place in verdicts, 0 until
-        # marked.  A 64 KB table, where a dict of the 11440 nine-subsets
-        # takes over 1 MB; no size has more than 56 classes, and a 256th
-        # would raise rather than wrap.
+        # seen: Q_4 mask -> 1 + its class's verdict, 0 until marked.  A
+        # 64 KB table, where a dict of the 11440 nine-subsets takes over 1 MB.
         seen = bytearray(1 << 16)
-        verdicts = []
     else:
         # claws: a center's in-set neighbors -> its claw's vertex mask if the
         # claw is valid on those vertices alone, else -1, which no mask covers
@@ -218,11 +209,11 @@ def _theorem_stream(size, symmetry_reduced):
                 orbit = _orbit(VertexSet(4, mask))
                 canon = VertexSet(4, min(orbit))
                 w = find_theorem_witness(canon)
-                verdicts.append(w is not None and check_witness(w, canon))
+                verdict = w is not None and check_witness(w, canon)
                 for img in orbit:
-                    seen[img] = len(verdicts)
+                    seen[img] = 1 + verdict
                 fact = (canon.to_hex(), len(set(orbit)))
-            ok = verdicts[seen[mask] - 1]
+            ok = seen[mask] == 2
         else:
             c = claw_center(mask, mask, 4)
             if c is None:
@@ -332,14 +323,12 @@ def _random_trial(n, seed, index):
 def _random_agreement_stream(n, seed, trials, processes):
     """Each trial's ``(failure, cause)`` in trial order: through the built-in
     ``map``, loading no pool, for one process, else through the ``map`` of a
-    pool started lazily, in chunks of ceil(trials / processes) trials."""
-    global ProcessPoolExecutor
+    pool imported and started here, in chunks of ceil(trials / processes) trials."""
     trial = partial(_random_trial, n, seed)
     if processes == 1:
         yield from map(trial, range(trials))
         return
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=processes) as pool:
         yield from pool.map(trial, range(trials), chunksize=-(-trials // processes))
 
@@ -501,10 +490,10 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     half-plus-one inequality at every level.  For n <= 5 existence is
     also cross-checked against direct search.
 
-    Once the serial cost, estimated without reading a clock, reaches
-    ``_POOL_BUDGET``, the trials are mapped in order over a process pool,
-    in chunks of ceil(trials / min(workers, trials, os.cpu_count())) trials,
-    one per process; ``worker_count`` is the number of chunks.
+    The trials are mapped in order in chunks of ceil(trials / min(workers,
+    trials, os.cpu_count())) trials, one per process: in this process for
+    one chunk, else over a process pool; ``worker_count`` is the number of
+    chunks.
     """
     lo, hi = _RANDOM_DIMS
     if not lo <= n <= hi:
@@ -513,8 +502,7 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    item_s = 2e-5 + 1e-7 * (1 << n)  # s: fitted to trials at n = 4..14 (2 vCPUs, Python 3.11)
-    asked = 1 if trials * item_s < _POOL_BUDGET else min(workers, trials, os.cpu_count() or 1)
+    asked = min(workers, trials, os.cpu_count() or 1)
     chunk = -(-trials // asked)  # ceil(trials / asked) trials a process
     processes = -(-trials // chunk)  # one per chunk, never more than asked
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"

@@ -5,7 +5,8 @@ paths: adjacency via string comparison, subgraph checks via
 itertools.combinations, connectivity via BFS over dict adjacency.  These
 stay the ground truth the fast implementations are checked against.
 ``parse_lines`` is the set parser read one line at a time, the reference
-for the parser's whole-piece path.
+for the parser's whole-piece path; it restates the binary-vertex and
+hex-mask rules rather than calling the library's readers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from itertools import combinations
 
 from cubeclaw.errors import SetParseError
-from cubeclaw.hypercube import VertexSet, hex_width, set_from_hex
+from cubeclaw.hypercube import VertexSet, hex_width
 
 
 def bits(v: int, dim: int) -> str:
@@ -164,10 +165,7 @@ def parse_lines(text: str, n: int):
     """Reference for ``cli.parse_set``: the whole text's ``splitlines()``
     read one line at a time, with the parser's diagnostics and the same
     precedence (a bad line beats a duplicate; a lone token of hex-mask
-    width goes to ``set_from_hex``)."""
-    from cubeclaw.errors import SetParseError
-    from cubeclaw.hypercube import VertexSet, hex_width, set_from_hex
-
+    width is read as a mask)."""
     buf = bytearray(((1 << n) + 7) // 8)
     entries = 0
     bad = duplicate = None
@@ -194,12 +192,19 @@ def parse_lines(text: str, n: int):
         return VertexSet(n, int.from_bytes(buf, "little"))
     lineno, tok = bad
     if entries == 1:
-        stripped = tok[2:] if tok.lower().startswith("0x") else tok
-        if len(stripped) == hex_width(n):
-            try:
-                return set_from_hex(tok, n)
-            except SetParseError as exc:
-                raise SetParseError(exc.message, line=lineno, column=exc.column) from None
+        digits = tok[2:] if tok.lower().startswith("0x") else tok
+        if len(digits) == hex_width(n):
+            # a mask: hex digits only, and no bit past the cube's 2^n
+            # vertices, which only Q_1's one digit can hold
+            for col, ch in enumerate(digits, 1):
+                if ch not in "0123456789abcdefABCDEF":
+                    raise SetParseError(f"bad hex digit {ch!r} in mask", line=lineno, column=col)
+            mask = int(digits, 16)
+            if mask >= 2 ** (2**n):
+                raise SetParseError(
+                    f"hex digit {digits[0]!r} has bits outside Q_{n}", line=lineno, column=1
+                )
+            return VertexSet(n, mask)
     if len(tok) != n:
         raise SetParseError(
             f"vertex string {tok!r} has length {len(tok)}, expected {n}"

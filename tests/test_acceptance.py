@@ -8,6 +8,7 @@ in tests/test_verify.py.
 """
 
 import math
+import os
 import random
 import time
 
@@ -227,23 +228,27 @@ def test_acceptance_7_property_suites():
 
 def test_acceptance_8_determinism_across_workers_and_runs():
     ok = True
-    # only random-test takes a worker count; every check is run twice
+    # each runner with the processes its reports must have run on: only
+    # random-test takes a worker count, and it runs on as many processes as
+    # it asks for, up to one per CPU; every check is run twice
+    cpus = os.cpu_count() or 1
     checks = {
-        "theorem": [lambda: [verify_theorem_exhaustive(4, 9)]],
-        "proposition": [lambda: [verify_proposition_exhaustive()]],
-        "cases": [lambda: verify_case_claims("all")],
+        "theorem": [(1, lambda: [verify_theorem_exhaustive(4, 9)])],
+        "proposition": [(1, lambda: [verify_proposition_exhaustive()])],
+        "cases": [(1, lambda: verify_case_claims("all"))],
         "random": [
-            lambda w=workers: [random_agreement_test(4, 300, seed=9, workers=w)]
-            for workers in (1, 4, 8)
+            (min(w, cpus), lambda w=w: [random_agreement_test(4, 300, seed=9, workers=w)])
+            for w in (1, 4, 8)
         ],
     }
     for name, runners in checks.items():
         digests = set()
-        for runner in runners:
+        for processes, runner in runners:
             for _repeat in range(2):
                 reports = runner()
                 digests.add(tuple(r.deterministic_digest for r in reports))
-                if any(r.failed for r in reports):
+                if any(r.failed or r.worker_count != processes for r in reports):
+                    print(f"\n  {name} failed or ran on other than {processes} processes")
                     ok = False
         if len(digests) != 1:
             print(f"\n  digest mismatch in {name}: {digests}")

@@ -598,12 +598,17 @@ loaded = [[m for m in pool if m in sys.modules]]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cubeclaw.cli.main(["verify-cases", "--workers", "2", "--format", "json"])
 loaded.append([m for m in pool if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    argv = ["random-test", "--n", "12", "--trials", "300", "--workers", "1"]
+    code += cubeclaw.cli.main(argv)
+loaded.append([m for m in pool if m in sys.modules])
 print(json.dumps([code, len(json.loads(out.getvalue())["reports"]), loaded]))
 """
 
 
 def test_cli_import_and_a_short_check_load_no_process_pool():
-    # one fresh interpreter: verify-cases is estimated well under the pool budget
+    # one fresh interpreter: the Q_4 checks never start a pool, whatever
+    # --workers says, and random-test starts one only for two processes or more
     src = os.path.dirname(os.path.dirname(cubeclaw.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -613,4 +618,4 @@ def test_cli_import_and_a_short_check_load_no_process_pool():
         text=True,
         check=True,
     )
-    assert json.loads(proc.stdout) == [0, 6, [[], []]]
+    assert json.loads(proc.stdout) == [0, 6, [[], [], []]]

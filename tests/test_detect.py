@@ -362,3 +362,21 @@ def test_witness_text_forms():
     assert witness_to_text(cycle, 3) == "cycle 100 110 010 011 001 101"
     with pytest.raises(ValueError):
         witness_to_text(object(), 3)
+
+
+def test_detectors_stop_at_the_neighbor_table_cap():
+    # each reads neighbor_masks(13), a 4^13/8-byte table past its cap of 12
+    s = VertexSet(13, 0xFF)
+    calls = (
+        lambda: neighbor_masks(13),
+        lambda: find_claw(s),
+        lambda: claw_center(s.mask, s.mask, 13),
+        lambda: claw_at(s, 0),
+        lambda: find_induced_cycle(s, 8),
+        lambda: find_theorem_witness(s),
+        lambda: classify_five_set(VertexSet(13, 0x1F)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="neighbor table supports dimension <= 12, got 13"):
+            call()
+    assert find_claw(VertexSet(12, 0b10111)) == Claw(0, (1, 2, 4))

@@ -1,6 +1,7 @@
 """Exhaustive checks, case-claim reports, extremal search, random harness."""
 
 import math
+import os
 import random
 from itertools import combinations
 
@@ -214,6 +215,7 @@ def test_random_agreement_smoke():
     assert "generator" in report.details
     again = random_agreement_test(4, 50, seed=1, workers=2)
     assert again.deterministic_digest == report.deterministic_digest
+    assert again.worker_count == min(2, os.cpu_count() or 1)
     different = random_agreement_test(4, 50, seed=2)
     assert different.deterministic_digest == report.deterministic_digest  # all pass
 
