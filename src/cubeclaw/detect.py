@@ -29,20 +29,24 @@ identical witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .hypercube import VertexSet, _iter_bits, neighbor_masks, vertex_to_text
+from .hypercube import VertexSet, _iter_bits, _Record, _setattr, neighbor_masks, vertex_to_text
 
 
-@dataclass(frozen=True)
-class Claw:
+class Claw(_Record):
     """Four vertices inducing K_{1,3}: a center adjacent to three
     pairwise non-adjacent leaves."""
 
-    center: int
-    leaves: tuple[int, int, int]
+    __slots__ = ("center", "leaves")
+
+    def __init__(self, center: int, leaves: tuple[int, int, int]):
+        _setattr(self, "center", center)
+        _setattr(self, "leaves", leaves)
+
+    def __repr__(self) -> str:
+        return f"Claw(center={self.center!r}, leaves={self.leaves!r})"
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -50,12 +54,14 @@ class Claw:
         return (self.center, *self.leaves)
 
 
-@dataclass(frozen=True)
-class InducedCycle:
+class InducedCycle(_Record):
     """k vertices whose induced subgraph is exactly the cycle C_k,
     listed in cyclic order."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        _setattr(self, "vertices", vertices)
 
 
 Witness = Union[Claw, InducedCycle]
@@ -68,17 +74,20 @@ class FiveSetKind(Enum):
     PATH_P5 = "path_p5"
 
 
-@dataclass(frozen=True)
-class PathClassification:
+class PathClassification(_Record):
     """Shape of the subgraph induced by a five-vertex set.
 
     For PATH_P5 the path runs endpoints[0] - internal[0] - internal[1] -
     internal[2] - endpoints[1], with endpoints[0] < endpoints[1].
     """
 
-    kind: FiveSetKind
-    endpoints: Optional[tuple[int, int]] = None
-    internal: Optional[tuple[int, int, int]] = None
+    __slots__ = ("kind", "endpoints", "internal")
+
+    def __init__(
+        self, kind: FiveSetKind, endpoints: Optional[tuple[int, int]] = None,
+        internal: Optional[tuple[int, int, int]] = None,
+    ):
+        self._set(kind, endpoints, internal)
 
 
 def claw_center(mask: int, among: int, dim: int) -> Optional[int]:

@@ -24,7 +24,6 @@ built through a byte buffer and read back through a byte table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -119,19 +118,54 @@ def hex_width(dim: int) -> int:
     return ((1 << dim) + 3) // 4
 
 
-@dataclass(frozen=True)
-class VertexSet:
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Compares (only within its class), hashes, prints and pickles by its ``__slots__``
+    fields, which ``__init__`` takes in order and sets by ``_setattr``; refuses assignment."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # through __init__: the default restore assigns each slot
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class VertexSet(_Record):
     """An immutable subset of V(Q_n): a dimension plus a membership mask."""
 
-    dim: int
-    mask: int
+    __slots__ = ("dim", "mask")
 
-    def __post_init__(self):
-        check_dim(self.dim)
-        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> (1 << self.dim):
-            raise ValueError(
-                f"mask {self.mask!r} has bits outside [0, 2^{self.dim})"
-            )
+    def __init__(self, dim: int, mask: int):
+        if not isinstance(dim, int) or dim < 1 or dim > DIM_CAP:
+            check_dim(dim)  # raises; the test is inline to save a call per set
+        if not isinstance(mask, int) or mask < 0 or mask >> (1 << dim):
+            raise ValueError(f"mask {mask!r} has bits outside [0, 2^{dim})")
+        _setattr(self, "dim", dim)
+        _setattr(self, "mask", mask)
 
     @classmethod
     def from_members(cls, members, dim: int) -> "VertexSet":

@@ -59,7 +59,6 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional, Union
 
@@ -76,7 +75,7 @@ from .detect import (
     find_theorem_witness,
 )
 from .errors import TheoremViolationError
-from .hypercube import VertexSet, _block_mask, _orbit, _spread_blocks, neighbor_masks
+from .hypercube import VertexSet, _block_mask, _orbit, _Record, _spread_blocks, neighbor_masks
 from .witness import _EVEN_HALF_Q4, find_witness_inductive, required_size, resolve_five_four
 
 COUNTEREXAMPLE_CAP = 16
@@ -96,50 +95,54 @@ RANDOM_GENERATOR_NOTE = (
 )
 
 
-@dataclass
-class VerificationReport:
-    check_name: str
-    universe_size: int
-    passed: int
-    failed: int
-    counterexamples: list[str]
-    wall_time: float
-    worker_count: int
-    deterministic_digest: str
-    details: dict = field(default_factory=dict)
+class VerificationReport(_Record):
+    """One check's outcome; mutable, for the fields a check sets after its fold."""
+
+    __slots__ = (
+        "check_name", "universe_size", "passed", "failed", "counterexamples",
+        "wall_time", "worker_count", "deterministic_digest", "details",
+    )
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, check_name: str, universe_size: int, passed: int, failed: int,
+        counterexamples: list[str], wall_time: float, worker_count: int,
+        deterministic_digest: str, details: Optional[dict] = None,
+    ):
+        self._set(
+            check_name, universe_size, passed, failed, counterexamples, wall_time,
+            worker_count, deterministic_digest, {} if details is None else details,
+        )
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values()))
 
 
-@dataclass
-class ExtremalResult:
-    dim: int
-    forbidden: tuple[str, ...]
-    max_size: int
-    certificate: VertexSet
-    nodes_explored: int
-    half_cap: int
-    """f(n-1), the most a structure-free set can hold in one half of a
-    coordinate split; 1 at n = 1, whose halves are single vertices."""
-    metrics: dict = field(default_factory=dict)
-    """Search counters, outside the pinned output: ``prunes`` counts the
-    branches cut by each bound."""
+class ExtremalResult(_Record):
+    """A search's maximum and certificate.  ``half_cap`` is f(n-1), the most a
+    structure-free set can hold in one half of a coordinate split; 1 at n = 1,
+    whose halves are single vertices.  ``metrics`` holds search counters, outside
+    the pinned output: ``prunes`` counts the branches cut by each bound."""
+
+    __slots__ = (
+        "dim", "forbidden", "max_size", "certificate", "nodes_explored", "half_cap", "metrics"
+    )
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, dim: int, forbidden: tuple[str, ...], max_size: int, certificate: VertexSet,
+        nodes_explored: int, half_cap: int, metrics: Optional[dict] = None,
+    ):
+        metrics = {} if metrics is None else metrics
+        self._set(dim, forbidden, max_size, certificate, nodes_explored, half_cap, metrics)
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "forbidden": list(self.forbidden),
-            "max_size": self.max_size,
-            "certificate": self.certificate.to_hex(),
-            "nodes_explored": self.nodes_explored,
-            "half_cap": self.half_cap,
-            "metrics": self.metrics,
-        }
+        fields = dict(zip(self.__slots__, self._values()))
+        return {**fields, "forbidden": list(self.forbidden), "certificate": self.certificate.to_hex()}
 
 
 # ---------------------------------------------------------------------------

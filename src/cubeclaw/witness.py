@@ -26,7 +26,6 @@ built only by ``detect.claw_center`` and ``detect.claw_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .detect import (
@@ -36,46 +35,39 @@ from .detect import (
     _witness_mask,
     claw_at,
     claw_center,
-    find_claw,
     find_induced_cycle,
     find_theorem_witness,
 )
 from .errors import InsufficientCardinalityError, TheoremViolationError
-from .hypercube import VertexSet, _block_mask, _compress
+from .hypercube import VertexSet, _block_mask, _compress, _Record
 
 # The coordinate-1 halves of Q_4 (coordinate 1 = 0, = 1) as Q_4 masks.
 _EVEN_HALF_Q4 = 0x5555
 _ODD_HALF_Q4 = 0xAAAA
 
 
-@dataclass(frozen=True)
-class SplitStep:
+class SplitStep(_Record):
     """One recursion level: which side was taken and how big each was."""
 
-    dim: int
-    split_coord: int
-    chosen_side: int
-    side_cardinalities: tuple[int, int]
+    __slots__ = ("dim", "split_coord", "chosen_side", "side_cardinalities")
+
+    def __init__(
+        self, dim: int, split_coord: int, chosen_side: int, side_cardinalities: tuple[int, int]
+    ):
+        self._set(dim, split_coord, chosen_side, side_cardinalities)
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
-    steps: tuple[SplitStep, ...]
-    base: str
+class ExtractionTrace(_Record):
+    __slots__ = ("steps", "base")
+
+    def __init__(self, steps: tuple[SplitStep, ...], base: str):
+        self._set(steps, base)
 
     def to_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "dim": st.dim,
-                    "split_coord": st.split_coord,
-                    "chosen_side": st.chosen_side,
-                    "side_cardinalities": list(st.side_cardinalities),
-                }
-                for st in self.steps
-            ],
-            "base": self.base,
-        }
+        steps = [dict(zip(st.__slots__, st._values())) for st in self.steps]
+        for step in steps:
+            step["side_cardinalities"] = list(step["side_cardinalities"])
+        return {"steps": steps, "base": self.base}
 
 
 def required_size(dim: int) -> int:
@@ -200,9 +192,9 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     case = {8: 1, 7: 2, 6: 3, 5: 4}[size]
 
     if case == 4:
-        claw = find_claw(VertexSet(4, big))
-        if claw is not None:
-            return claw, case
+        center = claw_center(big, big, 4)
+        if center is not None:
+            return claw_at(VertexSet(4, big), center), case
 
     center = claw_center(s.mask, big, 4)
     if center is not None:

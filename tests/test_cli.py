@@ -606,16 +606,39 @@ print(json.dumps([code, len(json.loads(out.getvalue())["reports"]), loaded]))
 """
 
 
-def test_cli_import_and_a_short_check_load_no_process_pool():
-    # one fresh interpreter: the Q_4 checks never start a pool, whatever
-    # --workers says, and random-test starts one only for two processes or more
+def fresh_interpreter_output(*argv):
+    """The JSON that a fresh interpreter, run on ``argv``, prints."""
     src = os.path.dirname(os.path.dirname(cubeclaw.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", POOL_MODULES_LOADED],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert json.loads(proc.stdout) == [0, 6, [[], [], []]]
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_and_a_short_check_load_no_process_pool():
+    # one fresh interpreter: the Q_4 checks never start a pool, whatever
+    # --workers says, and random-test starts one only for two processes or more
+    assert fresh_interpreter_output("-c", POOL_MODULES_LOADED) == [0, 6, [[], [], []]]
+
+
+DATACLASS_MODULES_LOADED = """
+import contextlib, io, json, sys
+slow = ("dataclasses", "inspect")
+import cubeclaw.cli
+loaded = [[m for m in slow if m in sys.modules]]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cubeclaw.cli.main(["verify-cases"])
+loaded.append([m for m in slow if m in sys.modules])
+print(json.dumps([code, loaded]))
+"""
+
+
+def test_cli_import_and_a_short_check_load_no_dataclasses_or_inspect():
+    # the value types are hand-written slotted classes, so a CLI run pays
+    # for neither module at start-up; -S keeps site hooks from loading them
+    assert fresh_interpreter_output("-S", "-c", DATACLASS_MODULES_LOADED) == [0, [[], []]]

@@ -4,7 +4,6 @@ marking in the symmetry-reduced theorem check."""
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -12,7 +11,13 @@ import pytest
 import cubeclaw.verify as verify_mod
 from cubeclaw.errors import TheoremViolationError
 from cubeclaw.hypercube import VertexSet, _orbit, canonical_form, neighbor_masks, set_from_hex
-from cubeclaw.verify import _join_cut, extremal_search, gosper_next, verify_theorem_exhaustive
+from cubeclaw.verify import (
+    ExtremalResult,
+    _join_cut,
+    extremal_search,
+    gosper_next,
+    verify_theorem_exhaustive,
+)
 from oracles import automorphic_image, claw_exists, induced_cycle_exists, join_verdict
 
 
@@ -79,8 +84,12 @@ def test_half_cap_comes_from_the_recursion(monkeypatch):
     real = verify_mod._max_free
 
     def one_short(n, k):
-        result = real(n, k)
-        return replace(result, max_size=result.max_size - 1) if n == 4 else result
+        r = real(n, k)
+        if n != 4:
+            return r
+        return ExtremalResult(
+            r.dim, r.forbidden, r.max_size - 1, r.certificate, r.nodes_explored, r.half_cap, r.metrics
+        )
 
     monkeypatch.setattr(verify_mod, "_max_free", one_short)
     # two halves of at most 7 cannot beat the seed bound of 15, and the
