@@ -98,8 +98,9 @@ def _iter_bits(mask: int) -> list[int]:
     the path walk of ``detect.find_induced_cycle`` and the import-time
     table ``_BYTE_BITS``.
     ``detect.claw_center`` (an early-exit walk), ``detect.claw_at`` (three
-    ``x & (x - 1)`` picks) and the extremal search in ``verify._max_free``
-    (lowest and highest bit) peel bits inline: they need only a few bits.
+    ``x & (x - 1)`` picks) and the extremal search's include test
+    ``verify._join_cut`` (lowest and highest bit) peel bits inline: they
+    need only a few bits.
     """
     out = []
     while mask:
@@ -180,7 +181,9 @@ class VertexSet(_Record):
         return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
-        return 0 <= v < (1 << self.dim) and (self.mask >> v) & 1 == 1
+        """Whether ``v`` is a member; False for anything but an ``int``
+        label, as ``detect.check_witness`` reads a vertex."""
+        return isinstance(v, int) and 0 <= v < (1 << self.dim) and (self.mask >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())

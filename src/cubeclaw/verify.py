@@ -59,7 +59,7 @@ import os
 import random
 import time
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Union
 
 from .detect import (
@@ -261,18 +261,28 @@ def _case4_outcomes_stream(placements):
                 yield full.to_hex(), None
 
 
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[int, ...]:
+    """The labels ``0 .. 2^n - 1`` in order, the list each trial's shuffle
+    starts from; a tuple, so no trial can change another's start."""
+    return tuple(range(1 << n))
+
+
 def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     """The subset random-agreement trial ``index`` draws: the first
     2^(n-1) + 1 labels of ``random.Random(f"{seed}:{index}").shuffle``
     over all 2^n labels.
 
-    The shuffle's top-down Fisher-Yates swaps stop when ``i`` reaches
-    the prefix length: every later swap stays inside the prefix.  Each
-    index is the draw ``Random.shuffle`` makes through ``_randbelow``:
-    ``k = (i + 1).bit_length()`` bits, redrawn while the value exceeds
-    ``i``; ``k`` is n + 1 for the first swap and n for every later one.
-    Position ``i`` is never read after its swap, so each swap only marks
-    the label it moves there and moves ``labels[i]`` into position ``j``.
+    The shuffle starts from a list copy of the per-dimension ``_labels``
+    tuple, built once per process.  Its top-down Fisher-Yates swaps stop
+    when ``i`` reaches the prefix length: every later swap stays inside
+    the prefix.  Each index is the draw ``Random.shuffle`` makes through
+    ``_randbelow``: ``k = (i + 1).bit_length()`` bits, redrawn while the
+    value exceeds ``i``.  ``k`` is n + 1 only for the first swap, at
+    i = 2^n - 1, so that swap is made before the loop, which draws n bits;
+    before it every label sits at its own position.  Position ``i`` is
+    never read after its swap, so each swap only marks the label it moves
+    there and moves ``labels[i]`` into position ``j``.
 
     The mask is parsed, with ``int(..., 2)``, from a reversed buffer of
     2^n bytes, one per label: ``b"1"`` for a prefix label, ``b"0"`` for
@@ -281,16 +291,20 @@ def _trial_subset(n: int, seed: int, index: int) -> VertexSet:
     ``VertexSet.from_members``.
     """
     getrandbits = random.Random(f"{seed}:{index}").getrandbits
-    labels = list(range(1 << n))
+    labels = list(_labels(n))
     bits = bytearray(b"1") * (1 << n)
-    k = n + 1
-    for i in range((1 << n) - 1, required_size(n) - 1, -1):
-        j = getrandbits(k)
+    last = (1 << n) - 1
+    j = getrandbits(n + 1)
+    while j > last:
+        j = getrandbits(n + 1)
+    bits[j] = 48  # b"0": label j moves past the prefix
+    labels[j] = last
+    for i in range(last - 1, required_size(n) - 1, -1):
+        j = getrandbits(n)
         while j > i:
-            j = getrandbits(k)
-        bits[labels[j]] = 48  # b"0": labels[j] moves past the prefix
+            j = getrandbits(n)
+        bits[labels[j]] = 48
         labels[j] = labels[i]
-        k = n
     return VertexSet(n, int(bits[::-1], 2))
 
 
@@ -483,15 +497,17 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
 
     Each trial's subset is the first 2^(n-1) + 1 labels of a shuffle of
     all 2^n labels by its own deterministically derived generator
-    (``_trial_subset``).  The shuffle's top-down Fisher-Yates swaps stop
-    once the prefix is final: the swaps still to come would only reorder
-    the prefix, so it holds the same labels as after a full
-    ``Random.shuffle``, and a test pins that equality.  The prefix is
-    turned into a mask through a byte buffer, with no per-member range
-    check, since the labels are a permutation of ``range(2^n)``.  The
-    extracted witness must validate and the trace must satisfy the
-    half-plus-one inequality at every level.  For n <= 5 existence is
-    also cross-checked against direct search.
+    (``_trial_subset``).  The shuffle starts from a copy of the labels
+    cached per dimension in each process, makes its one (n + 1)-bit draw
+    before its loop of n-bit draws, and stops its top-down Fisher-Yates
+    swaps once the prefix is final: the swaps still to come would only
+    reorder the prefix, so it holds the same labels as after a full
+    ``Random.shuffle``.  Tests pin that equality and the drawn sets' hash.
+    The prefix is turned into a mask through a byte buffer, with no
+    per-member range check, since the labels are a permutation of
+    ``range(2^n)``.  The extracted witness must validate and the trace
+    must satisfy the half-plus-one inequality at every level.  For
+    n <= 5 existence is also cross-checked against direct search.
 
     The trials are mapped in order in chunks of ceil(trials / min(workers,
     trials, os.cpu_count())) trials, one per process: in this process for

@@ -111,6 +111,7 @@ def test_vertexset_basics():
     assert len(s) == 3
     assert s.members() == [0, 3, 5]
     assert 3 in s and 1 not in s and 8 not in s
+    assert 3.0 not in s and 1.0 not in s and None not in s and "3" not in s
     assert s.remove(3).members() == [0, 5]
     assert s.remove(1) == s
     assert VertexSet(3, 0xFF).remove(0).members() == [1, 2, 3, 4, 5, 6, 7]

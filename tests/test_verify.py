@@ -1,5 +1,6 @@
 """Exhaustive checks, case-claim reports, extremal search, random harness."""
 
+import hashlib
 import math
 import os
 import random
@@ -18,6 +19,7 @@ from cubeclaw.hypercube import VertexSet
 from cubeclaw.verify import (
     extremal_search,
     gosper_next,
+    _labels,
     _subsets,
     _trial_subset,
     random_agreement_test,
@@ -228,6 +230,35 @@ def test_trial_subset_is_the_full_shuffle_prefix():
             for index in range(30):
                 expected = VertexSet.from_members(shuffle_prefix(n, seed, index), n)
                 assert _trial_subset(n, seed, index) == expected, (n, seed, index)
+
+
+# SHA-256 of the hex labels of trials 0..199 at n = 12, one a line; seed 1
+# is the benchmark's random-test job.  Python 3.10 to 3.13 give these values.
+TRIAL_SUBSET_SHA256 = {
+    1: "efd215443ae13e19563f88e0b9ae8f6a89cf6824a91780ed5e303865d6ef0f79",
+    2: "b150472239cc770b1f79c057e84a6b139dfa0024c05f406f2f8063bd4a6b7924",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRIAL_SUBSET_SHA256))
+def test_trial_subset_pinned_draws(seed):
+    # pins the drawn sets by value, whatever Random.shuffle's implementation;
+    # the report digest reads the same for both seeds
+    drawn = "\n".join(_trial_subset(12, seed, i).to_hex() for i in range(200))
+    assert hashlib.sha256(drawn.encode()).hexdigest() == TRIAL_SUBSET_SHA256[seed]
+
+
+def test_trial_subset_start_labels_are_not_shared():
+    # every trial shuffles its own copy of the cached labels: one that
+    # shuffled them in place would change the start of every later trial
+    first = _trial_subset(12, 5, 3)
+    small = _trial_subset(4, 5, 3)
+    assert _trial_subset(12, 5, 3) == first
+    assert _trial_subset(4, 5, 3) == small
+    assert first == VertexSet.from_members(shuffle_prefix(12, 5, 3), 12)
+    assert small == VertexSet.from_members(shuffle_prefix(4, 5, 3), 4)
+    for n in (4, 12):
+        assert _labels(n) == tuple(range(1 << n))
 
 
 def test_random_agreement_validation():
