@@ -42,7 +42,6 @@ from .verify import (
 from .witness import (
     ExtractionTrace,
     SplitStep,
-    base_case_solve,
     base_case_solve_structured,
     find_witness_inductive,
     required_size,

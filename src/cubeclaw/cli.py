@@ -249,7 +249,7 @@ def _finish_reports(args: argparse.Namespace, reports: list[VerificationReport])
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit status."""
-    # every check command takes --workers, but only random-test can use it
+    # random-test's process count; verify-theorem accepts and ignores it
     if "workers" in args and args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
 
@@ -337,16 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, workers=True):
-        if workers:
-            sp.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="processes to run on (default 1), at most one per CPU and per"
-                " trial; only random-test uses it, the other checks accept it but"
-                " always run in one process",
-            )
+    def common(sp, workers_help=None):
+        if workers_help is not None:
+            sp.add_argument("--workers", type=int, default=1, help=workers_help)
         sp.add_argument("--output", help="write the JSON report document to this path")
         sp.add_argument(
             "--format", choices=("table", "json"), default="table", help="stdout format"
@@ -360,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="evaluate one representative per automorphism class (cross-check mode)",
     )
-    common(sp)
+    common(sp, workers_help="accepted and ignored: the check always runs in one process")
 
     sp = sub.add_parser("verify-proposition", help="exhaustive six-subset check in Q_3")
     common(sp)
@@ -385,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
             " or case dispatch" % NEIGHBOR_TABLE_DIM_CAP
         ),
     )
-    common(sp, workers=False)
+    common(sp)
 
     sp = sub.add_parser("extremal", help="largest structure-free subset")
     n_help = "cube dimension, %d..%d (3 with --cycle 6)" % _EXTREMAL_C8_DIMS
@@ -393,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cycle", type=int, default=8, choices=(6, 8), help="forbidden cycle length"
     )
-    common(sp, workers=False)
+    common(sp)
 
     sp = sub.add_parser("random-test", help="seeded random extractor validation")
     sp.add_argument("--n", type=int, required=True, help="cube dimension, %d..%d" % _RANDOM_DIMS)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    common(sp, workers_help="processes to run on (default 1), at most one per CPU and per trial")
 
     return parser
 

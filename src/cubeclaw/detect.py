@@ -14,9 +14,9 @@ of degree-1 vertices tells a five-vertex path from a disconnected set.
 Induced-cycle search is a depth-first path extension with chord pruning:
 a partial path is abandoned as soon as its tip is adjacent to any path
 vertex other than its predecessor (or, when closing, the start).  At the
-scales this package targets (dimension <= 6, cycle length <= 8) the
-inducedness constraint prunes hard enough that nothing cleverer is
-needed.
+scales the detectors run at (dimension <= 12, the neighbor table's
+``NEIGHBOR_TABLE_DIM_CAP``; cycle length <= 8) the inducedness constraint
+prunes hard enough that nothing cleverer is needed.
 
 Every witness exposes ``vertices``: a claw's center then its leaves, or
 a cycle's vertices in cyclic order.  ``check_witness`` reads both kinds

@@ -407,10 +407,10 @@ def verify_theorem_exhaustive(
     sizes of the distinct keys sum to ``universe_size``, since the orbits
     partition the subsets, unless an orbit strays outside its class.
     """
-    if n != 4:
+    if not isinstance(n, int) or n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
     lo, hi = _THEOREM_SIZES
-    if not lo <= size <= hi:
+    if not (isinstance(size, int) and lo <= size <= hi):
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
     name = f"theorem-exhaustive-n4-size{size}"
     report, facts = _run_check(name, _theorem_stream(size, symmetry_reduced))
@@ -436,7 +436,7 @@ def verify_case_claims(case: Union[int, str] = "all") -> list[VerificationReport
     One report per sub-claim.  ``case`` selects a single split -- 1 for
     (8,1), 2 for (7,2), 3 for (6,3), 4 for (5,4) -- or "all".
     """
-    if case not in (1, 2, 3, 4, "all"):
+    if case != "all" and not (isinstance(case, int) and 1 <= case <= 4):
         raise ValueError(f"case must be 1..4 or 'all', got {case!r}")
     reports: list[VerificationReport] = []
 
@@ -496,18 +496,11 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     """Cross-validate the inductive extractor on seeded random subsets.
 
     Each trial's subset is the first 2^(n-1) + 1 labels of a shuffle of
-    all 2^n labels by its own deterministically derived generator
-    (``_trial_subset``).  The shuffle starts from a copy of the labels
-    cached per dimension in each process, makes its one (n + 1)-bit draw
-    before its loop of n-bit draws, and stops its top-down Fisher-Yates
-    swaps once the prefix is final: the swaps still to come would only
-    reorder the prefix, so it holds the same labels as after a full
-    ``Random.shuffle``.  Tests pin that equality and the drawn sets' hash.
-    The prefix is turned into a mask through a byte buffer, with no
-    per-member range check, since the labels are a permutation of
-    ``range(2^n)``.  The extracted witness must validate and the trace
-    must satisfy the half-plus-one inequality at every level.  For
-    n <= 5 existence is also cross-checked against direct search.
+    all 2^n labels by its own deterministically derived generator;
+    ``_trial_subset`` says how it is drawn.  The extracted witness must
+    validate and the trace must satisfy the half-plus-one inequality at
+    every level.  For n <= 5 existence is also cross-checked against
+    direct search.
 
     The trials are mapped in order in chunks of ceil(trials / min(workers,
     trials, os.cpu_count())) trials, one per process: in this process for
@@ -515,11 +508,11 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     chunks.
     """
     lo, hi = _RANDOM_DIMS
-    if not lo <= n <= hi:
+    if not (isinstance(n, int) and lo <= n <= hi):
         raise ValueError(f"random agreement test supports n in {lo}..{hi}, got {n}")
-    if trials < 1:
+    if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
+    if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     asked = min(workers, trials, os.cpu_count() or 1)
     chunk = -(-trials // asked)  # ceil(trials / asked) trials a process
@@ -581,9 +574,9 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     """
     k = _parse_forbidden(forbidden)
     lo, hi = _EXTREMAL_C8_DIMS
-    if k == 8 and not lo <= n <= hi:
+    if k == 8 and not (isinstance(n, int) and lo <= n <= hi):
         raise ValueError(f"claw+C8 search supports n in {lo}..{hi}, got {n}")
-    if k == 6 and n != 3:
+    if k == 6 and (not isinstance(n, int) or n != 3):
         raise ValueError(f"claw+C6 search supports n = 3 only, got {n}")
     return _max_free(n, k)
 

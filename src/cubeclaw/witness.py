@@ -85,8 +85,9 @@ def find_witness_inductive(s: VertexSet) -> tuple[Witness, ExtractionTrace]:
 
     Requires dimension >= 4 and at least 2^(n-1) + 1 members.  Splits on
     coordinate 1 at every level, preferring the larger side (ties to
-    side 0), and solves dimension 4 by brute force.  The returned trace
-    records the cardinalities at every level.
+    side 0), and solves dimension 4 by brute force (``find_theorem_witness``),
+    raising ``TheoremViolationError`` if it finds nothing.  The returned
+    trace records the cardinalities at every level.
 
     Each level reads side 0's count as a popcount of the mask under the
     coordinate-1 = 0 block mask, takes side 1's as the rest, and
@@ -114,24 +115,12 @@ def find_witness_inductive(s: VertexSet) -> tuple[Witness, ExtractionTrace]:
         count = side1 if chosen else side0
         sides |= chosen << (s.dim - dim)
 
-    w = base_case_solve(VertexSet(4, mask))
+    w = find_theorem_witness(VertexSet(4, mask))
+    if w is None:
+        raise TheoremViolationError("no witness in a nine-or-more-vertex Q_4 subset", 4, mask)
     levels = len(steps)
     w = _map_witness(w, lambda v: v << levels | sides)
     return w, ExtractionTrace(tuple(steps), "brute-force")
-
-
-def base_case_solve(s: VertexSet) -> Witness:
-    """Brute-force witness for a Q_4 subset of at least nine vertices."""
-    if s.dim != 4:
-        raise ValueError(f"base-case solver works in dimension 4, got {s.dim}")
-    if len(s) < 9:
-        raise InsufficientCardinalityError(9, len(s), 4)
-    w = find_theorem_witness(s)
-    if w is None:
-        raise TheoremViolationError(
-            "no witness in a nine-or-more-vertex Q_4 subset", s.dim, s.mask
-        )
-    return w
 
 
 def resolve_five_four(

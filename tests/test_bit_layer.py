@@ -12,7 +12,7 @@ import pytest
 
 from cubeclaw import hypercube
 from cubeclaw.cli import main
-from cubeclaw.detect import Claw, InducedCycle, check_witness
+from cubeclaw.detect import Claw, InducedCycle, check_witness, find_theorem_witness
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import (
     DIM_CAP,
@@ -23,7 +23,7 @@ from cubeclaw.hypercube import (
     vertex_from_text,
 )
 from cubeclaw.verify import _half_subsets, _subsets
-from cubeclaw.witness import base_case_solve, find_witness_inductive, required_size
+from cubeclaw.witness import find_witness_inductive, required_size
 from oracles import induces_cycle, induced_edges, naive_adjacent
 
 
@@ -207,7 +207,7 @@ def reference_descent(s):
             }
         )
         current = sides[chosen]
-    w = base_case_solve(current)
+    w = find_theorem_witness(current)
     for step in reversed(steps):
         d, bit = step["dim"] - 1, step["chosen_side"]
         up = lambda v: embed(VertexSet(d, 1 << v), 1, bit).members()[0]

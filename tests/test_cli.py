@@ -563,7 +563,7 @@ def test_cli_help_and_library_name_the_same_range(capsys, argv, bad, span):
 
 
 def test_cli_workers_validation(capsys):
-    code, _, err = run_cli(capsys, "verify-proposition", "--workers", "0")
+    code, _, err = run_cli(capsys, "verify-theorem", "--workers", "0")
     assert code == 2
     assert "workers must be >= 1, got 0" in err
 
@@ -578,7 +578,13 @@ def test_cli_usage_errors_exit_2():
 
 
 def test_workers_only_on_the_check_commands(capsys):
-    for argv in (["witness", "--n", "4", "--hex", "01FF"], ["extremal", "--n", "3"]):
+    # only random-test uses it; verify-theorem keeps it for callers that pass it
+    for argv in (
+        ["witness", "--n", "4", "--hex", "01FF"],
+        ["extremal", "--n", "3"],
+        ["verify-proposition"],
+        ["verify-cases"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--workers", "2"])
         assert exc.value.code == 2
@@ -596,7 +602,7 @@ pool = ("multiprocessing", "concurrent.futures.process")
 import cubeclaw.cli
 loaded = [[m for m in pool if m in sys.modules]]
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cubeclaw.cli.main(["verify-cases", "--workers", "2", "--format", "json"])
+    code = cubeclaw.cli.main(["verify-cases", "--format", "json"])
 loaded.append([m for m in pool if m in sys.modules])
 with contextlib.redirect_stdout(io.StringIO()):
     argv = ["random-test", "--n", "12", "--trials", "300", "--workers", "1"]
@@ -621,8 +627,8 @@ def fresh_interpreter_output(*argv):
 
 
 def test_cli_import_and_a_short_check_load_no_process_pool():
-    # one fresh interpreter: the Q_4 checks never start a pool, whatever
-    # --workers says, and random-test starts one only for two processes or more
+    # one fresh interpreter: the Q_4 checks never start a pool, and
+    # random-test starts one only for two processes or more
     assert fresh_interpreter_output("-c", POOL_MODULES_LOADED) == [0, 6, [[], [], []]]
 
 

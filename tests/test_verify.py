@@ -4,10 +4,13 @@ import hashlib
 import math
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import combinations
 
 import pytest
 
+from cubeclaw import verify
 from cubeclaw.detect import (
     Claw,
     check_witness,
@@ -248,6 +251,17 @@ def test_trial_subset_pinned_draws(seed):
     assert hashlib.sha256(drawn.encode()).hexdigest() == TRIAL_SUBSET_SHA256[seed]
 
 
+def test_trial_subset_pinned_draws_through_a_pool():
+    # random-test's pool at --workers 2: two processes, 100 trials each; the
+    # cache is cleared first so that no forked worker inherits this
+    # process's labels, and each builds its own
+    _labels.cache_clear()
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        sets = pool.map(partial(_trial_subset, 12, 1), range(200), chunksize=100)
+        drawn = "\n".join(s.to_hex() for s in sets)
+    assert hashlib.sha256(drawn.encode()).hexdigest() == TRIAL_SUBSET_SHA256[1]
+
+
 def test_trial_subset_start_labels_are_not_shared():
     # every trial shuffles its own copy of the cached labels: one that
     # shuffled them in place would change the start of every later trial
@@ -270,6 +284,32 @@ def test_random_agreement_validation():
         random_agreement_test(4, 0, 0)
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         random_agreement_test(4, 10, 0, workers=0)
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (extremal_search, (4.0,), "claw+C8 search supports n in 1..5, got 4.0"),
+        (extremal_search, (3.0, ("claw", "C6")), "claw+C6 search supports n = 3 only, got 3.0"),
+        (random_agreement_test, (4.0, 2, 1), "random agreement test supports n in 4..12, got 4.0"),
+        (random_agreement_test, (4, 2.5, 1), "trials must be >= 1"),
+        (random_agreement_test, (4, 3, 1, 1.5), "workers must be >= 1, got 1.5"),
+        (verify_theorem_exhaustive, (4, 9.0), "size must be in 9..16, got 9.0"),
+        (verify_case_claims, (2.0,), "case must be 1..4 or 'all', got 2.0"),
+    ],
+    ids=["extremal-n", "extremal-c6-n", "random-n", "trials", "workers", "size", "case"],
+)
+def test_non_integer_arguments_are_rejected_before_any_work(monkeypatch, check, args, message):
+    # 4.0 passes a bare range test, then fails in a shift, a range or a pool
+    def started(*_):
+        raise AssertionError("the check started")
+
+    monkeypatch.setattr(verify, "_run_check", started)
+    monkeypatch.setattr(verify, "_max_free", started)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError) as err:
+        check(*args)
+    assert str(err.value) == message
 
 
 def test_monotonicity_harness():

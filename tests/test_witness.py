@@ -14,14 +14,10 @@ from cubeclaw.detect import (
     find_induced_cycle,
     find_theorem_witness,
 )
-from cubeclaw.errors import InsufficientCardinalityError
-from cubeclaw.hypercube import VertexSet, embed
-from cubeclaw.witness import (
-    base_case_solve,
-    base_case_solve_structured,
-    find_witness_inductive,
-    required_size,
-)
+from cubeclaw import witness
+from cubeclaw.errors import InsufficientCardinalityError, TheoremViolationError
+from cubeclaw.hypercube import VertexSet, embed, split
+from cubeclaw.witness import base_case_solve_structured, find_witness_inductive, required_size
 from oracles import (
     claw_exists,
     classify_five,
@@ -65,6 +61,21 @@ def test_inductive_base_case_full_half_plus_one():
     assert w.center % 2 == 0  # a center in the coordinate-1 = 0 half
     assert check_witness(w, s)
     assert trace.steps == () and trace.base == "brute-force"
+    for big in (VertexSet(4, 0xFFFF), VertexSet(4, 0xFFFF).remove(3)):
+        assert check_witness(find_witness_inductive(big)[0], big)
+
+
+def test_inductive_base_case_search_failure_names_the_base_mask(monkeypatch):
+    # exhaustive certification rules this out; the alarm must still name
+    # the Q_4 set the descent reached, not the input set
+    monkeypatch.setattr(witness, "find_theorem_witness", lambda s: None)
+    evens = [v for v in range(32) if bin(v).count("1") % 2 == 0]
+    s = VertexSet.from_members(evens + [1], 5)
+    base = split(s, 1)[1]  # the 9-vertex side the descent takes
+    with pytest.raises(TheoremViolationError) as err:
+        find_witness_inductive(s)
+    assert str(err.value).startswith("no witness in a nine-or-more-vertex Q_4 subset")
+    assert (err.value.dim, err.value.mask) == (4, base.mask)
 
 
 def test_inductive_dimension_five_example():
@@ -112,20 +123,6 @@ def test_witness_found_in_subcube_survives_embedding():
         else:
             mapped = InducedCycle(tuple(map(mapper, w.vertices)))
         assert check_witness(mapped, ambient)
-
-
-def test_base_case_solve_full_cube_and_errors():
-    w = base_case_solve(VertexSet(4, 0xFFFF))
-    assert isinstance(w, Claw) and check_witness(w, VertexSet(4, 0xFFFF))
-    with pytest.raises(InsufficientCardinalityError):
-        base_case_solve(VertexSet.from_members(EVEN_LABELS_Q4, 4))
-    with pytest.raises(ValueError):
-        base_case_solve(VertexSet(3, 0xFF))
-
-
-def test_base_case_solve_accepts_oversize_sets():
-    s = VertexSet(4, 0xFFFF).remove(3)
-    assert check_witness(base_case_solve(s), s)
 
 
 def test_structured_case_1():
@@ -259,7 +256,7 @@ def test_structured_agrees_with_brute_force_on_random_nine_subsets():
         w1, case = base_case_solve_structured(s)
         assert case in (1, 2, 3, 4)
         assert check_witness(w1, s)
-        assert check_witness(base_case_solve(s), s)
+        assert check_witness(find_theorem_witness(s), s)
 
 
 def test_structured_output_is_pinned_on_all_nine_subsets():
