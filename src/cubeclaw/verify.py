@@ -3,13 +3,13 @@
 Every check enumerates a fixed universe of configurations in a canonical
 order (subsets in increasing-membership-mask order, composite universes
 in mixed-radix order over their parts) and folds the per-configuration
-pass/fail stream into a report.  Each check is one module-level
-generator, ``_<check>_stream``, that yields ``(failure, fact)`` per
-configuration: ``failure`` is the configuration's hex label if it fails,
-else None, and ``fact`` is None or one value that the check folds into
-its ``details``.  A fact holds only what its run decides; one its inputs
-fix is set on the report by the check.  The case claims that are a
-yes/no per Q_4 mask all use ``_claim_stream``.
+pass/fail stream into a report, whose fields ``_run_check`` sets.  Each
+check runs one module-level generator, ``_<check>_stream``, that yields
+``(failure, fact)`` per configuration: ``failure`` is the configuration's
+hex label if it fails, else None, and ``fact`` is None or one value that
+the check folds into its ``details`` dict in place.  A fact holds only
+what its run decides; the check adds what its inputs fix.  The case
+claims that are a yes/no per Q_4 mask all use ``_claim_stream``.
 
 No Q_4 or Q_3 check enumerates more than C(16,9) = 11440 configurations,
 in well under a process-pool start, so they take no worker count and run
@@ -24,10 +24,11 @@ The checks:
 
 - ``verify_theorem_exhaustive``: every 9-vertex (or larger) subset of
   Q_4 contains a claw or an induced 8-cycle -- all C(16,9) = 11440 of
-  them, the base case the inductive extractor stands on.  As
-  check_witness(w, s) holds iff check_witness(w, V(w)) does and s
-  contains V(w), each distinct claw is validated once, in a memo keyed
-  by its center's in-set neighbors.
+  them, the base case the inductive extractor stands on.  Per subset,
+  ``_theorem_stream`` validates each distinct claw once, in a memo keyed
+  by its center's in-set neighbors, as check_witness(w, s) holds iff
+  check_witness(w, V(w)) does and s contains V(w); per automorphism
+  class, with ``symmetry_reduced``, ``_theorem_class_stream`` marks orbits.
 - ``verify_proposition_exhaustive``: every 6-vertex subset of Q_3
   contains a claw or an induced 6-cycle (28 configurations).
 - ``verify_case_claims``: the delegated "direct verification" claims of
@@ -96,13 +97,12 @@ RANDOM_GENERATOR_NOTE = (
 
 
 class VerificationReport(_Record):
-    """One check's outcome; mutable, for the fields a check sets after its fold."""
+    """One check's outcome; the check fills its ``details`` dict in place."""
 
     __slots__ = (
         "check_name", "universe_size", "passed", "failed", "counterexamples",
         "wall_time", "worker_count", "deterministic_digest", "details",
     )
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(
         self, check_name: str, universe_size: int, passed: int, failed: int,
@@ -131,7 +131,6 @@ class ExtremalResult(_Record):
     __slots__ = (
         "dim", "forbidden", "max_size", "certificate", "nodes_explored", "half_cap", "metrics"
     )
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(
         self, dim: int, forbidden: tuple[str, ...], max_size: int, certificate: VertexSet,
@@ -189,49 +188,49 @@ def _half_subsets(size: int, side: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# checks: one generator per check, which yields (failure, fact) for each
-# configuration of its universe, in order
+# checks: one generator per check (the theorem check's per mode), which
+# yields (failure, fact) for each configuration of its universe, in order
 # ---------------------------------------------------------------------------
 
-def _theorem_stream(size, symmetry_reduced):
-    if symmetry_reduced:
-        # seen: Q_4 mask -> 1 + its class's verdict, 0 until marked.  A
-        # 64 KB table, where a dict of the 11440 nine-subsets takes over 1 MB.
-        seen = bytearray(1 << 16)
-    else:
-        # claws: a center's in-set neighbors -> its claw's vertex mask if the
-        # claw is valid on those vertices alone, else -1, which no mask covers
-        nbr = neighbor_masks(4)
-        claws = {}
+def _theorem_stream(size):
+    # claws: a center's in-set neighbors -> its claw's vertex mask if the
+    # claw is valid on those vertices alone, else -1, which no mask covers
+    nbr = neighbor_masks(4)
+    claws = {}
+    for mask in _subsets(size, 16):
+        c = claw_center(mask, mask, 4)
+        if c is None:
+            s = VertexSet(4, mask)
+            w = find_theorem_witness(s)
+            ok = w is not None and check_witness(w, s)
+        else:
+            hood = nbr[c] & mask
+            if hood not in claws:
+                w = claw_at(VertexSet(4, mask), c)
+                wmask = _witness_mask(w)
+                claws[hood] = wmask if check_witness(w, VertexSet(4, wmask)) else -1
+            # check_witness(w, s) iff valid on V(w), V(w) in s
+            ok = claws[hood] & ~mask == 0
+        yield None if ok else VertexSet(4, mask).to_hex(), None
+
+
+def _theorem_class_stream(size):
+    # seen: Q_4 mask -> 1 + its class's verdict, 0 until marked.  A
+    # 64 KB table, where a dict of the 11440 nine-subsets takes over 1 MB.
+    seen = bytearray(1 << 16)
     for mask in _subsets(size, 16):
         fact = None
-        if symmetry_reduced:
-            # orbit marking: the first subset of a class scans its orbit once
-            # and marks every image; the least image is the class key
-            if not seen[mask]:
-                orbit = _orbit(VertexSet(4, mask))
-                canon = VertexSet(4, min(orbit))
-                w = find_theorem_witness(canon)
-                verdict = w is not None and check_witness(w, canon)
-                for img in orbit:
-                    seen[img] = 1 + verdict
-                fact = (canon.to_hex(), len(set(orbit)))
-            ok = seen[mask] == 2
-        else:
-            c = claw_center(mask, mask, 4)
-            if c is None:
-                s = VertexSet(4, mask)
-                w = find_theorem_witness(s)
-                ok = w is not None and check_witness(w, s)
-            else:
-                hood = nbr[c] & mask
-                if hood not in claws:
-                    w = claw_at(VertexSet(4, mask), c)
-                    wmask = _witness_mask(w)
-                    claws[hood] = wmask if check_witness(w, VertexSet(4, wmask)) else -1
-                # check_witness(w, s) iff valid on V(w), V(w) in s
-                ok = claws[hood] & ~mask == 0
-        yield None if ok else VertexSet(4, mask).to_hex(), fact
+        # orbit marking: the first subset of a class scans its orbit once
+        # and marks every image; the least image is the class key
+        if not seen[mask]:
+            orbit = _orbit(VertexSet(4, mask))
+            canon = VertexSet(4, min(orbit))
+            w = find_theorem_witness(canon)
+            verdict = w is not None and check_witness(w, canon)
+            for img in orbit:
+                seen[img] = 1 + verdict
+            fact = (canon.to_hex(), len(set(orbit)))
+        yield None if seen[mask] == 2 else VertexSet(4, mask).to_hex(), fact
 
 
 def _proposition_stream():
@@ -337,22 +336,22 @@ def _random_trial(n, seed, index):
 # ---------------------------------------------------------------------------
 
 
-def _random_agreement_stream(n, seed, trials, processes):
+def _random_agreement_stream(n, seed, trials, processes, chunk):
     """Each trial's ``(failure, cause)`` in trial order: through the built-in
     ``map``, loading no pool, for one process, else through the ``map`` of a
-    pool imported and started here, in chunks of ceil(trials / processes) trials."""
+    pool of ``processes`` imported and started here, in chunks of ``chunk`` trials."""
     trial = partial(_random_trial, n, seed)
     if processes == 1:
         yield from map(trial, range(trials))
         return
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        yield from pool.map(trial, range(trials), chunksize=-(-trials // processes))
+        yield from pool.map(trial, range(trials), chunksize=chunk)
 
 
-def _run_check(check_name: str, stream) -> tuple[VerificationReport, list]:
-    """The check's report (``details`` empty, ``worker_count`` 1) and its facts
-    in order, from one fold of its ``(failure, fact)`` stream, timed as a whole."""
+def _run_check(name: str, stream, worker_count: int = 1) -> tuple[VerificationReport, list]:
+    """The check's report (``details`` empty, for the check to fill) and its
+    facts in order, from one fold of its ``(failure, fact)`` stream, timed as a whole."""
     t0 = time.perf_counter()
     outcomes = bytearray()
     counterexamples: list[str] = []
@@ -365,13 +364,13 @@ def _run_check(check_name: str, stream) -> tuple[VerificationReport, list]:
             facts.append(fact)
     passed = outcomes.count(b"1")
     report = VerificationReport(
-        check_name=check_name,
+        check_name=name,
         universe_size=len(outcomes),
         passed=passed,
         failed=len(outcomes) - passed,
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - t0,
-        worker_count=1,
+        worker_count=worker_count,
         deterministic_digest=hashlib.sha256(outcomes).hexdigest(),
     )
     return report, facts
@@ -390,21 +389,22 @@ def verify_theorem_exhaustive(
     Only n = 4 is supported (exhaustive subset enumeration beyond that is
     out of desk range) and size must be at least 9, the density bound.
 
-    Subset s passes iff ``check_witness(w, s)`` holds for its
-    ``find_theorem_witness`` witness w, that is, iff check_witness(w, V(w))
-    holds and s contains V(w): the validator tests membership, then label
-    adjacency.  A claw, memoised by its center's in-set neighbors (two cube
-    vertices share at most two), is built and validated once, so a subset
-    with one costs a ``claw_center`` scan, a lookup and a subset test.
+    ``_theorem_stream`` passes subset s iff ``check_witness(w, s)`` holds
+    for its ``find_theorem_witness`` witness w, that is, iff
+    check_witness(w, V(w)) holds and s contains V(w): the validator tests
+    membership, then label adjacency.  A claw, memoised by its center's
+    in-set neighbors (two cube vertices share at most two), is built and
+    validated once, so a subset with one costs a ``claw_center`` scan, a
+    lookup and a subset test.
 
-    With ``symmetry_reduced`` the witness existence is evaluated once per
-    automorphism class and replayed across the orbit; the digest then
-    doubles as a cross-check that existence is automorphism-invariant.
-    Classes are found by orbit marking (cf. McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998): the first subset of a
-    class has its at most 384 images generated once, and each is marked
-    with the least image, the class key.  The orbit
-    sizes of the distinct keys sum to ``universe_size``, since the orbits
+    With ``symmetry_reduced``, ``_theorem_class_stream`` evaluates the
+    witness existence once per automorphism class and replays it across
+    the orbit; the digest then doubles as a cross-check that existence is
+    automorphism-invariant.  Classes are found by orbit marking (cf.
+    McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): the
+    first subset of a class has its at most 384 images generated once, and
+    each is marked with the least image, the class key.  The orbit sizes
+    of the distinct keys sum to ``universe_size``, since the orbits
     partition the subsets, unless an orbit strays outside its class.
     """
     if not isinstance(n, int) or n != 4:
@@ -412,8 +412,8 @@ def verify_theorem_exhaustive(
     lo, hi = _THEOREM_SIZES
     if not (isinstance(size, int) and lo <= size <= hi):
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
-    name = f"theorem-exhaustive-n4-size{size}"
-    report, facts = _run_check(name, _theorem_stream(size, symmetry_reduced))
+    stream = _theorem_class_stream if symmetry_reduced else _theorem_stream
+    report, facts = _run_check(f"theorem-exhaustive-n4-size{size}", stream(size))
     if symmetry_reduced:
         report.details["distinct_classes"] = len(facts)
         report.details["orbit_accounting_total"] = sum(orbit for _, orbit in facts)
@@ -425,7 +425,7 @@ def verify_proposition_exhaustive() -> VerificationReport:
     classifying which condition fired for each."""
     report, facts = _run_check("proposition-exhaustive-q3-size6", _proposition_stream())
     kinds = Counter(kind for kind, _ in facts)
-    report.details = {kind: kinds[kind] for kind in _PROPOSITION_KINDS}
+    report.details.update((kind, kinds[kind]) for kind in _PROPOSITION_KINDS)
     report.details["cycle_only_masks"] = [label for kind, label in facts if kind == "cycle_only"]
     return report
 
@@ -518,12 +518,11 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     chunk = -(-trials // asked)  # ceil(trials / asked) trials a process
     processes = -(-trials // chunk)  # one per chunk, never more than asked
     name = f"random-agreement-n{n}-trials{trials}-seed{seed}"
-    report, causes = _run_check(name, _random_agreement_stream(n, seed, trials, processes))
-    report.worker_count = processes
+    stream = _random_agreement_stream(n, seed, trials, processes, chunk)
+    report, causes = _run_check(name, stream, processes)
     if causes:
         report.details["failure_causes"] = dict(Counter(causes))
-    report.details["generator"] = RANDOM_GENERATOR_NOTE
-    report.details["seed"] = seed
+    report.details.update(generator=RANDOM_GENERATOR_NOTE, seed=seed)
     return report
 
 

@@ -12,11 +12,12 @@ from collections import Counter
 import pytest
 
 import cubeclaw
-from cubeclaw import cli
+from cubeclaw import cli, verify
 from cubeclaw.cli import build_parser, main, parse_set, run
 from cubeclaw.detect import Claw, InducedCycle, check_witness
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import VertexSet, hex_width, vertex_from_text, vertex_to_text
+from cubeclaw.witness import ExtractionTrace
 from oracles import parse_lines
 
 
@@ -360,6 +361,27 @@ def test_cli_witness_inductive_prints_trace(capsys):
     assert lines[-1] == "base case: brute-force"
 
 
+def test_cli_witness_failing_validation_is_a_theorem_violation(capsys, monkeypatch):
+    # leaves 3, 5 and 6 are no neighbours of center 0
+    bogus = Claw(0, (3, 5, 6)), ExtractionTrace((), "brute-force")
+    monkeypatch.setattr(cli, "find_witness_inductive", lambda s: bogus)
+    code, out, err = run_cli(capsys, "witness", "--n", "4", "--hex", "FFFF")
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "THEOREM VIOLATION (this is a bug, please report): extracted witness failed validation"
+    )
+
+
+def test_cli_failing_report_table_lists_its_counterexamples(capsys, monkeypatch):
+    # with no 6-cycle found, the six-subsets that only hold one fail
+    _, out, _ = run_cli(capsys, "verify-proposition", "--format", "json")
+    cycle_only = json.loads(out)["reports"][0]["details"]["cycle_only_masks"]
+    monkeypatch.setattr(verify, "find_induced_cycle", lambda s, k: None)
+    code, out, _ = run_cli(capsys, "verify-proposition")
+    assert code == 1 and cycle_only
+    assert f"  counterexamples: {', '.join(cycle_only)}" in out.splitlines()
+
+
 def test_cli_witness_insufficient_cardinality(capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "4", "--hex", "00FF")
     assert code == 2
@@ -482,6 +504,9 @@ def test_cli_missing_set_file(tmp_path, capsys):
 
 def test_cli_empty_flag_is_a_given_set(capsys):
     # an empty --hex or --vertices is parsed, not taken for a missing flag
+    code, _, err = run_cli(capsys, "witness", "--n", "4")
+    assert code == 2
+    assert err == "error: no vertex set given: use --hex, --set-file or --vertices\n"
     code, _, err = run_cli(capsys, "witness", "--n", "4", "--hex", "")
     assert code == 2
     assert err == "error: hex mask '' has 0 digits, expected 4 for dimension 4\n"

@@ -173,7 +173,7 @@ def test_orbit_is_every_automorphic_image():
 def test_class_facts_are_keyed_by_canonical_forms():
     # one (key, orbit size) fact per class, keyed by its canonical form;
     # the orbits partition the nine-subsets
-    stream = list(verify_mod._theorem_stream(9, True))
+    stream = list(verify_mod._theorem_class_stream(9))
     assert [failure for failure, _ in stream] == [None] * math.comb(16, 9)
     facts = [fact for _, fact in stream if fact is not None]
     assert len(facts) == len({key for key, _ in facts}) == 56

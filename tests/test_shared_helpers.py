@@ -22,7 +22,7 @@ from cubeclaw.verify import (
     random_agreement_test,
     verify_theorem_exhaustive,
 )
-from cubeclaw.witness import ExtractionTrace, resolve_five_four
+from cubeclaw.witness import ExtractionTrace, SplitStep, resolve_five_four
 from oracles import classify_five, induces_cycle, naive_adjacent, path_order_of_p5
 
 EVEN_LABELS_Q4 = [v for v in range(16) if v % 2 == 0]
@@ -106,6 +106,32 @@ def test_random_agreement_records_invalid_witness(monkeypatch):
     report = random_agreement_test(4, 2, seed=1, workers=1)
     assert report.failed == 2
     assert report.details["failure_causes"] == {"invalid_witness": 2}
+
+
+def test_random_agreement_records_trace_bound_and_direct_search(monkeypatch):
+    # a real witness with a trace whose side sizes do not add up fails the
+    # bound; a good extraction at n = 5 still fails if direct search finds none
+    real = verify_mod.find_witness_inductive
+
+    def padded(s):
+        w, trace = real(s)
+        if s.mask & 1:  # vertex 0 drawn: count one vertex too many on side 0
+            steps = []
+            for st in trace.steps:
+                a, b = st.side_cardinalities
+                steps.append(SplitStep(st.dim, st.split_coord, st.chosen_side, (a + 1, b)))
+            trace = ExtractionTrace(tuple(steps), trace.base)
+        return w, trace
+
+    monkeypatch.setattr(verify_mod, "find_witness_inductive", padded)
+    monkeypatch.setattr(verify_mod, "find_theorem_witness", lambda s: None)
+    drawn = [verify_mod._trial_subset(5, 1, i) for i in range(12)]
+    bound = sum(s.mask & 1 for s in drawn)
+    assert 0 < bound < 12
+    report = random_agreement_test(5, 12, seed=1)
+    assert report.details["failure_causes"] == {"trace_bound": bound, "direct_search": 12 - bound}
+    assert report.failed == 12
+    assert report.counterexamples == [s.to_hex() for s in drawn]
 
 
 def test_random_agreement_passing_trials_add_no_cause():

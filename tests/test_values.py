@@ -112,15 +112,18 @@ def test_assignment_is_refused(value, field, text):
     assert repr(value) == text
 
 
-def test_reports_are_mutable():
-    r = report()
-    r.worker_count = 2
+def test_reports_refuse_assignment_but_fill_their_dicts():
+    r, e = report(), extremal()
+    for value, field in ((r, "worker_count"), (r, "details"), (e, "max_size"), (e, "metrics")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, {})
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    # the check that builds a result fills its own dict in place
     r.details["seed"] = 1
-    assert (r.worker_count, r.details) == (2, {"seed": 1})
-    assert report().details == {}  # each report gets its own details dict
-    e = extremal()
-    e.max_size = 0
-    assert e.max_size == 0 and extremal().metrics == {}
+    e.metrics["prunes"] = {}
+    assert (r.worker_count, r.details, e.max_size, e.metrics) == (1, {"seed": 1}, 1, {"prunes": {}})
+    assert report().details == {} and extremal().metrics == {}  # each gets its own dict
 
 
 @pytest.mark.parametrize("value", [v for v, _, _ in VALUES] + [report(), extremal()])

@@ -17,7 +17,12 @@ from cubeclaw.detect import (
 from cubeclaw import witness
 from cubeclaw.errors import InsufficientCardinalityError, TheoremViolationError
 from cubeclaw.hypercube import VertexSet, embed, split
-from cubeclaw.witness import base_case_solve_structured, find_witness_inductive, required_size
+from cubeclaw.witness import (
+    base_case_solve_structured,
+    find_witness_inductive,
+    required_size,
+    resolve_five_four,
+)
 from oracles import (
     claw_exists,
     classify_five,
@@ -240,6 +245,25 @@ def test_claw_free_nine_subsets_leave_one_isolated_vertex_off_their_c8():
         assert find_induced_cycle(s, 8) == find_induced_cycle(s.remove(z), 8)
     # every one of them, by the theorem
     assert sets == 48
+
+
+def test_structured_alarms_name_the_input_mask(monkeypatch):
+    # exhaustive certification rules these out; with the claw-center scan
+    # and the 8-cycle search patched to find nothing, each alarm must fire
+    monkeypatch.setattr(witness, "claw_center", lambda *_: None)
+    monkeypatch.setattr(witness, "find_induced_cycle", lambda *_: None)
+    five_four = 0x55EA  # even half {6, 8, 10, 12, 14}, odd half {1, 3, 5, 7}
+    assert resolve_five_four(VertexSet(4, five_four), VertexSet(4, five_four & 0xAAAA)) is None
+    for mask, message in (
+        (0x5557, "no claw-center in the larger half of a (8,1) split"),
+        (0x555E, "no claw-center in the larger half of a (7,2) split"),
+        (0x557A, "no claw-center in the larger half of a (6,3) split"),
+        (five_four, "no claw-center and no cycle-leaving vertex in a (5,4) split"),
+    ):
+        with pytest.raises(TheoremViolationError) as err:
+            base_case_solve_structured(VertexSet(4, mask))
+        assert str(err.value) == f"{message} (dim=4, mask={mask:#x})"
+        assert (err.value.dim, err.value.mask) == (4, mask)
 
 
 def test_structured_rejects_wrong_cardinality_or_dim():
