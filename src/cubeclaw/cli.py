@@ -28,6 +28,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .detect import check_witness, find_theorem_witness, witness_to_text
@@ -321,6 +322,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the six subcommands."""
     parser = argparse.ArgumentParser(
         prog="cubeclaw",
         description=(
@@ -397,8 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser: built on the first call in a process, not at
+    import, and reused by every later call; parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run(args)
     except TheoremViolationError as exc:

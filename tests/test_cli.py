@@ -621,6 +621,55 @@ def test_run_rejects_unknown_command():
         run(argparse.Namespace(command="bogus"))
 
 
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for argv in (
+            ["verify-theorem", "--size", "16"],
+            ["verify-proposition"],
+            ["verify-cases", "--case", "1"],
+            ["witness", "--n", "4", "--hex", "5557", "--method", "structured"],
+            ["extremal", "--n", "1"],
+            ["random-test", "--n", "4", "--trials", "1"],
+        ):
+            assert main(argv) == 0
+        for argv, code in ((["extremal"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_reused_parser_keeps_no_state_between_calls():
+    # each command with non-default flags, then with none
+    declares_workers = {"random-test", "verify-theorem"}
+    for argv in (
+        ["random-test", "--n", "4", "--workers", "2"],
+        ["random-test", "--n", "4"],
+        ["verify-theorem", "--symmetry-reduced", "--workers", "2"],
+        ["verify-theorem"],
+        ["witness", "--n", "4", "--method", "structured", "--output", "p"],
+        ["witness", "--n", "4"],
+        ["extremal", "--n", "3", "--cycle", "6"],
+        ["extremal", "--n", "3"],
+        ["verify-cases", "--case", "3"],
+        ["verify-cases"],
+    ):
+        reused = vars(cli._parser().parse_args(argv))
+        assert reused == vars(build_parser().parse_args(argv))
+        # run reads "workers" in args
+        assert ("workers" in reused) == (argv[0] in declares_workers)
+
+
 POOL_MODULES_LOADED = """
 import contextlib, io, json, sys
 pool = ("multiprocessing", "concurrent.futures.process")
@@ -662,14 +711,18 @@ import contextlib, io, json, sys
 slow = ("dataclasses", "inspect")
 import cubeclaw.cli
 loaded = [[m for m in slow if m in sys.modules]]
+parsers = [cubeclaw.cli._parser.cache_info().currsize]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cubeclaw.cli.main(["verify-cases"])
 loaded.append([m for m in slow if m in sys.modules])
-print(json.dumps([code, loaded]))
+parsers.append(cubeclaw.cli._parser.cache_info().currsize)
+print(json.dumps([code, loaded, parsers]))
 """
 
 
 def test_cli_import_and_a_short_check_load_no_dataclasses_or_inspect():
     # the value types are hand-written slotted classes, so a CLI run pays
-    # for neither module at start-up; -S keeps site hooks from loading them
-    assert fresh_interpreter_output("-S", "-c", DATACLASS_MODULES_LOADED) == [0, [[], []]]
+    # for neither module at start-up; -S keeps site hooks from loading them.
+    # The parser is built by the first main call, not by the import.
+    expected = [0, [[], []], [0, 1]]
+    assert fresh_interpreter_output("-S", "-c", DATACLASS_MODULES_LOADED) == expected
