@@ -25,9 +25,10 @@ The checks:
 - ``verify_theorem_exhaustive``: every 9-vertex (or larger) subset of
   Q_4 contains a claw or an induced 8-cycle -- all C(16,9) = 11440 of
   them, the base case the inductive extractor stands on.  Per subset,
-  ``_theorem_stream`` validates each distinct claw once, in a memo keyed
-  by its center's in-set neighbors, as check_witness(w, s) holds iff
-  check_witness(w, V(w)) does and s contains V(w); per automorphism
+  ``_theorem_stream`` validates each claw once per set of its center's 3
+  or 4 in-set neighbors, the memo's key (so a claw whose center has all
+  four in some subsets is validated twice), as check_witness(w, s) holds
+  iff check_witness(w, V(w)) does and s contains V(w); per automorphism
   class, with ``symmetry_reduced``, ``_theorem_class_stream`` marks orbits.
 - ``verify_proposition_exhaustive``: every 6-vertex subset of Q_3
   contains a claw or an induced 6-cycle (28 configurations).
@@ -43,11 +44,12 @@ The checks:
   and in the claw/cycle split, only once ``check_witness`` validates it.
 - ``extremal_search``: branch-and-bound proof that the density bound is
   tight -- the largest structure-free subset has exactly half the
-  vertices (dimensions 4 and 5), resp. 5 vertices in Q_3.  The search at
-  n caps each half of a coordinate split at the maximum it finds at
-  n - 1, the paper's induction from f(0) = 1 up, and a vertex joins a
-  set only through ``_join_cut``; so the n = 5 maximum rests on the half
-  cap f(4) = 8, itself derived by the same search.
+  vertices (dimensions 4 and 5); in Q_3 it has 6 vertices with claw and
+  C8 forbidden and 5 with claw and C6.  The search at n caps each half
+  of a coordinate split at the maximum it finds at n - 1, the paper's
+  induction from f(0) = 1 up, and a vertex joins a set only through
+  ``_join_cut``; so the n = 5 maximum rests on the half cap f(4) = 8,
+  itself derived by the same search once per process.
 - ``random_agreement_test``: seeded random cross-validation of the
   inductive extractor against direct search.
 """
@@ -89,6 +91,9 @@ _PROPOSITION_KINDS = ("neither", "cycle_only", "claw_only", "claw_and_cycle")
 _THEOREM_SIZES = (9, 16)
 _RANDOM_DIMS = (4, 12)
 _EXTREMAL_C8_DIMS = (1, 5)
+# f(n) without claw and induced C_k, keyed by (n, k): each entry is written
+# only once its search's certificate has checked out, and read as a half cap
+_MAXIMA: dict[tuple[int, int], int] = {}
 
 RANDOM_GENERATOR_NOTE = (
     "python random.Random (MT19937); trial i reseeded with the string "
@@ -567,7 +572,9 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     derived by the same search at n - 1, recursively, down to f(0) = 1 at
     n = 1, whose halves are single vertices, and recorded as ``half_cap``.
     So the n = 5 maximum rests on f(4) = 8, itself found exhaustively
-    under the cap f(3) = 6.
+    under the cap f(3) = 6.  Each f(n - 1) is searched once per process
+    and read from a table after that; every call still runs its own search
+    at n and checks its own certificate.
 
     Supported ranges: n in 1..5 with C8 forbidden, n = 3 with C6 forbidden.
     """
@@ -603,8 +610,11 @@ def _join_cut(v: int, chosen: int, nbr, n: int, k: int) -> Optional[str]:
 
 def _max_free(n: int, k: int) -> ExtremalResult:
     """The search behind ``extremal_search``, without its range checks,
-    so that the half cap can recurse below the supported range to 1 at n = 1."""
-    half_cap = _max_free(n - 1, k).max_size if n > 1 else 1
+    so that the half cap can recurse below the supported range to 1 at n = 1.
+    The half cap f(n - 1) comes from ``_MAXIMA`` and is searched only on a
+    miss; f(n) enters ``_MAXIMA`` once the certificate checks out."""
+    # every maximum is at least 1, so a miss is the only falsy lookup
+    half_cap = (_MAXIMA.get((n - 1, k)) or _max_free(n - 1, k).max_size) if n > 1 else 1
 
     nverts = 1 << n
     nbr = neighbor_masks(n)
@@ -664,6 +674,7 @@ def _max_free(n: int, k: int) -> ExtremalResult:
         raise TheoremViolationError(
             f"no valid certificate of size {best_size} under half cap {half_cap}", n, best_mask
         )
+    _MAXIMA[n, k] = best_size
     return ExtremalResult(
         dim=n,
         forbidden=("claw", f"C{k}"),

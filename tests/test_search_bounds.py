@@ -92,10 +92,51 @@ def test_half_cap_comes_from_the_recursion(monkeypatch):
         )
 
     monkeypatch.setattr(verify_mod, "_max_free", one_short)
+    # an empty table, so that the n = 4 cap is derived through one_short
+    monkeypatch.setattr(verify_mod, "_MAXIMA", {})
     # two halves of at most 7 cannot beat the seed bound of 15, and the
     # search finds no certificate for it
     with pytest.raises(TheoremViolationError, match="size 15 under half cap 7"):
         extremal_search(5)
+
+
+def test_each_maximum_is_searched_once_per_process(monkeypatch):
+    # after extremal_search(4) the n = 5 search reads f(4) from the table:
+    # one search where an empty table takes five, and the same result
+    monkeypatch.setattr(verify_mod, "_MAXIMA", {})
+    real = verify_mod._max_free
+    searched = []
+
+    def counted(n, k):
+        searched.append(n)
+        return real(n, k)
+
+    monkeypatch.setattr(verify_mod, "_max_free", counted)
+    extremal_search(4)
+    assert searched == [4, 3, 2, 1]
+    assert verify_mod._MAXIMA == {(1, 8): 2, (2, 8): 4, (3, 8): 6, (4, 8): 8}
+    searched.clear()
+    r5 = extremal_search(5)
+    assert searched == [5]
+    monkeypatch.setattr(verify_mod, "_MAXIMA", {})
+    searched.clear()
+    fresh = extremal_search(5)
+    assert searched == [5, 4, 3, 2, 1]
+    # equal in every field: max_size, certificate, nodes, half_cap, metrics
+    assert fresh == r5
+
+
+def test_a_failed_self_check_enters_no_maximum(monkeypatch):
+    monkeypatch.setattr(verify_mod, "_MAXIMA", {})
+    extremal_search(3)
+    before = dict(verify_mod._MAXIMA)
+    # the self-check finds a claw in every certificate, so the n = 4 search
+    # raises and enters nothing; f(3) and below stay as they were
+    claw = verify_mod.claw_at(VertexSet(4, 0x0017), 0)
+    monkeypatch.setattr(verify_mod, "find_claw", lambda s: claw)
+    with pytest.raises(TheoremViolationError, match="size 8 under half cap 6"):
+        extremal_search(4)
+    assert verify_mod._MAXIMA == before
 
 
 def test_half_cap_cuts_the_n5_search():
