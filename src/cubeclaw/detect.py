@@ -7,6 +7,8 @@ member has at least three in-set neighbors (a "claw-center"), and claw
 detection is a single degree scan.  That scan is ``claw_center``, and
 ``claw_at`` builds the claw at a center; ``find_claw``, the structured
 solver, the case-claim and theorem checks all go through these two.
+In dimensions 1-4 the scan reads two byte tables and the builder a table
+of the 80 claws of Q_4; from dimension 5 the scan walks its candidates.
 ``classify_five_set`` needs no search: in the bipartite cube, the count
 of degree-1 vertices tells a five-vertex path from a disconnected set.
 ``_path_from`` is the one path walk, shared with ``verify._join_cut``.
@@ -30,6 +32,7 @@ identical witnesses.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Union
 
 from .hypercube import VertexSet, _iter_bits, _Record, _setattr, neighbor_masks, vertex_to_text
@@ -90,9 +93,36 @@ class PathClassification(_Record):
         self._set(kind, endpoints, internal)
 
 
+@lru_cache(maxsize=None)
+def _q4_tables() -> tuple[tuple[int, ...], tuple[int, ...], dict[int, Claw]]:
+    """For each byte b read as a Q_3 mask, the vertices with three and with
+    exactly two neighbors in b, counted bit-sliced over all 256 bytes at
+    once (Warren, *Hacker's Delight*, ch. 5); then the 80 claws of Q_4 by
+    hood (a center's four neighbors, or any three).  Built on first use."""
+    b = int.from_bytes(bytes(range(256)), "little")
+    ones = (1 << 2048) // 255  # 0x0101...01: one per byte
+    x, y, z = ((b & m * ones) << s | b >> s & m * ones for s, m in ((1, 0x55), (2, 0x33), (4, 15)))
+    carry, total = x & y | z & (x ^ y), x ^ y ^ z  # a full adder of the three
+    three, two = (tuple(c.to_bytes(256, "little")) for c in (carry & total, carry & ~total))
+    claws = {}
+    for c in range(16):
+        hood = sorted(c ^ 1 << i for i in range(4))
+        full = sum(1 << u for u in hood)
+        for u in hood:  # the last claw, without the greatest, is also the four's
+            claws[full ^ 1 << u] = claws[full] = Claw(c, tuple(v for v in hood if v != u))
+    return three, two, claws
+
+
 def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
-    """Least member of ``among`` with three or more neighbors in ``mask``;
-    the walk up ``among`` stops at it.  Both are membership masks of Q_dim."""
+    """Least member of ``among`` with three or more neighbors in ``mask``,
+    both membership masks of Q_dim.  Dimensions 1-4 read ``_q4_tables``: v
+    of one byte has its fourth neighbor at bit v of the other.  From
+    dimension 5 the walk up ``among`` stops at the first center."""
+    if isinstance(dim, int) and 1 <= dim <= 4:
+        three, two, _ = _q4_tables()
+        lo, hi = mask & 255, mask >> 8
+        centers = (three[lo] | two[lo] & hi | (three[hi] | two[hi] & lo) << 8) & among
+        return (centers & -centers).bit_length() - 1 if centers else None
     nbr = neighbor_masks(dim)
     while among:
         low = among & -among
@@ -106,8 +136,13 @@ def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
 def claw_at(s: VertexSet, center: int) -> Claw:
     """The claw at ``center`` whose leaves are its three least-labeled
     in-set neighbors.  ``center`` must have at least three of them, or
-    ``ValueError`` is raised."""
+    ``ValueError`` is raised.  Up to dimension 4 those neighbors key the
+    claw in ``_q4_tables``: two cube vertices share at most two of them."""
     hood = neighbor_masks(s.dim)[center] & s.mask
+    if s.dim <= 4:
+        claw = _q4_tables()[2].get(hood)
+        if claw is not None:
+            return claw  # else fewer than three: the picks below raise
     a = (hood & -hood).bit_length() - 1
     hood &= hood - 1
     b = (hood & -hood).bit_length() - 1

@@ -97,10 +97,10 @@ def _iter_bits(mask: int) -> list[int]:
     The package's one set-bit list (Warren, *Hacker's Delight* §2-1), for
     the path walk of ``detect.find_induced_cycle`` and the import-time
     table ``_BYTE_BITS``.
-    ``detect.claw_center`` (an early-exit walk), ``detect.claw_at`` (three
-    ``x & (x - 1)`` picks) and the extremal search's include test
-    ``verify._join_cut`` (lowest and highest bit) peel bits inline: they
-    need only a few bits.
+    ``detect.claw_center`` (an early-exit walk) and ``detect.claw_at``
+    (three ``x & (x - 1)`` picks) from dimension 5, tables below it, and
+    the extremal search's include test ``verify._join_cut`` (lowest and
+    highest bit) peel bits inline: they need only a few bits.
     """
     out = []
     while mask:

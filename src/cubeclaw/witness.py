@@ -41,9 +41,8 @@ from .detect import (
 from .errors import InsufficientCardinalityError, TheoremViolationError
 from .hypercube import VertexSet, _block_mask, _compress, _Record
 
-# The coordinate-1 halves of Q_4 (coordinate 1 = 0, = 1) as Q_4 masks.
+# The coordinate-1 = 0 half of Q_4 as a Q_4 mask.
 _EVEN_HALF_Q4 = 0x5555
-_ODD_HALF_Q4 = 0xAAAA
 
 
 class SplitStep(_Record):
@@ -171,14 +170,15 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
     """
     if s.dim != 4:
         raise ValueError(f"structured solver works in dimension 4, got {s.dim}")
-    if len(s) != 9:
+    if s.mask.bit_count() != 9:
         raise ValueError(f"structured solver requires exactly 9 vertices, got {len(s)}")
 
-    side0 = s.mask & _EVEN_HALF_Q4
-    side1 = s.mask & _ODD_HALF_Q4
-    big, small = (side0, side1) if side0.bit_count() >= side1.bit_count() else (side1, side0)
+    # nine members: one half holds five or more, so one popcount decides
+    big = s.mask & _EVEN_HALF_Q4
     size = big.bit_count()
-    case = {8: 1, 7: 2, 6: 3, 5: 4}[size]
+    if size < 5:
+        big, size = s.mask ^ big, 9 - size
+    case = 9 - size
 
     if case == 4:
         center = claw_center(big, big, 4)
@@ -195,7 +195,7 @@ def base_case_solve_structured(s: VertexSet) -> tuple[Witness, int]:
             s.mask,
         )
 
-    resolved = resolve_five_four(s, VertexSet(4, small))
+    resolved = resolve_five_four(s, VertexSet(4, s.mask ^ big))
     if resolved is None:
         raise TheoremViolationError(
             "no claw-center and no cycle-leaving vertex in a (5,4) split", s.dim, s.mask

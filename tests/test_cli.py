@@ -711,18 +711,20 @@ import contextlib, io, json, sys
 slow = ("dataclasses", "inspect")
 import cubeclaw.cli
 loaded = [[m for m in slow if m in sys.modules]]
-parsers = [cubeclaw.cli._parser.cache_info().currsize]
+lazy = (cubeclaw.cli._parser, cubeclaw.detect._q4_tables)
+built = [[f.cache_info().currsize for f in lazy]]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cubeclaw.cli.main(["verify-cases"])
 loaded.append([m for m in slow if m in sys.modules])
-parsers.append(cubeclaw.cli._parser.cache_info().currsize)
-print(json.dumps([code, loaded, parsers]))
+built.append([f.cache_info().currsize for f in lazy])
+print(json.dumps([code, loaded, built]))
 """
 
 
 def test_cli_import_and_a_short_check_load_no_dataclasses_or_inspect():
     # the value types are hand-written slotted classes, so a CLI run pays
     # for neither module at start-up; -S keeps site hooks from loading them.
-    # The parser is built by the first main call, not by the import.
-    expected = [0, [[], []], [0, 1]]
+    # The parser and the Q_4 claw tables are built by the first main call
+    # that needs them, not by the import.
+    expected = [0, [[], []], [[0, 0], [1, 1]]]
     assert fresh_interpreter_output("-S", "-c", DATACLASS_MODULES_LOADED) == expected

@@ -10,6 +10,7 @@ from cubeclaw.detect import (
     Claw,
     FiveSetKind,
     InducedCycle,
+    _q4_tables,
     check_witness,
     claw_at,
     claw_center,
@@ -99,9 +100,9 @@ def check_claw_functions(mask, dim, nbrs):
 
 
 def test_claw_center_and_claw_at_match_label_reference_exhaustively():
-    # every mask of Q_3 and Q_4, scanning the whole set and each half of
-    # the coordinate-1 split
-    for dim in (3, 4):
+    # every mask of Q_1 to Q_4, the dimensions the byte tables serve,
+    # scanning the whole set and each half of the coordinate-1 split
+    for dim in (1, 2, 3, 4):
         nbrs = label_neighbors(dim)
         for mask in range(1 << (1 << dim)):
             check_claw_functions(mask, dim, nbrs)
@@ -112,6 +113,56 @@ def test_claw_center_and_claw_at_match_label_reference_at_dim5():
     nbrs = label_neighbors(5)
     for _ in range(2000):
         check_claw_functions(random_set(rng, 5, rng.choice((0.2, 0.4, 0.6))).mask, 5, nbrs)
+
+
+def test_claw_center_scans_candidates_outside_the_set():
+    # among need not lie in mask: a non-member with three in-set
+    # neighbors counts, on the tables (dims 1-4) as on the walk (dim 5)
+    rng = random.Random(7)
+    for dim in (1, 2, 3, 4, 5):
+        nbrs = label_neighbors(dim)
+        full = (1 << (1 << dim)) - 1
+        for _ in range(300):
+            mask, among = rng.getrandbits(1 << dim), rng.getrandbits(1 << dim)
+            for scan in (among, full):
+                hits = [v for v in range(1 << dim) if scan >> v & 1
+                        and sum(mask >> u & 1 for u in nbrs[v]) >= 3]
+                assert claw_center(mask, scan, dim) == (hits[0] if hits else None)
+
+
+def test_claw_center_rejects_dimensions_outside_the_tables_range():
+    # the table path serves 1 <= dim <= 4 only; the others reach
+    # neighbor_masks and its dimension check
+    for dim in (0, -1, 4.0, "4"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            claw_center(0, 0, dim)
+
+
+def test_byte_degree_tables_match_a_naive_count():
+    # for each byte read as a Q_3 mask, every vertex of Q_3 by its number
+    # of neighbors in the byte, member or not
+    three, two, _ = _q4_tables()
+    for b in range(256):
+        degrees = [sum(b >> (v ^ 1 << i) & 1 for i in range(3)) for v in range(8)]
+        assert three[b] == sum(1 << v for v in range(8) if degrees[v] == 3), b
+        assert two[b] == sum(1 << v for v in range(8) if degrees[v] == 2), b
+
+
+def test_q4_claw_table_holds_the_80_claws_and_claw_at_rejects_smaller_hoods():
+    claws = _q4_tables()[2]
+    assert len(claws) == 80
+    nbr = neighbor_masks(4)
+    for hood, claw in claws.items():
+        assert hood.bit_count() >= 3 and nbr[claw.center] & hood == hood
+        assert claw.leaves == tuple(u for u in range(16) if hood >> u & 1)[:3]
+        wmask = sum(1 << v for v in claw.vertices)
+        assert check_witness(claw, VertexSet(4, wmask))
+    for center in range(16):
+        around = [center ^ 1 << i for i in range(4)]
+        for hood in (h for k in range(3) for h in combinations(around, k)):
+            s = VertexSet.from_members([center, *hood], 4)
+            with pytest.raises(ValueError, match="fewer than three in-set neighbors"):
+                claw_at(s, center)
 
 
 def test_claw_at_rejects_a_center_with_two_in_set_neighbors():
