@@ -23,7 +23,9 @@ built through a byte buffer and read back through a byte table.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from functools import lru_cache
 from typing import Iterator
 
@@ -324,42 +326,54 @@ def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
 
 
 @lru_cache(maxsize=None)
-def _orbit_steps(dim: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """``_orbit``'s (shift, select) delta swaps: the identity and Heap's
-    transpositions of coordinates p < q; then the Gray-code flips' block swaps."""
-    low = [_build_block_mask(1 << dim, 1 << t) for t in range(dim)]
-    pairs = []
-    for q in range(1, dim):  # Heap's order on coordinates 0..q, from that on 0..q-1
-        pairs = [pair for p in range(q) for pair in (*pairs, (p if q % 2 else 0, q))] + pairs
-    swaps = [((1 << q) - (1 << p), (low[p] << (1 << p)) & low[q]) for p, q in pairs]
-    flips = [(k & -k, low[(k & -k).bit_length() - 1]) for k in range(1, 1 << dim)]
-    return ((0, 0), *swaps), tuple(flips)
+def _orbit_stages(dim: int) -> tuple[int, int, str, tuple[tuple[int, int], ...]]:
+    """``_orbit``'s replicate constant, byte length, slot format and (shift,
+    select) stages.  Slot k + 2^n * r complements flip set k after the
+    permutation with insertion-sort code r, in mixed radix with digit r_i in
+    0..i for i = 1..n-1: comparator j of step i, which swaps coordinates
+    i - j and i - j + 1, applies iff r_i >= j.  A select repeats byte
+    strings: ``stride`` slots a digit value, ``radix`` values a period."""
+    nverts = 1 << dim
+    nbytes = max(nverts, 8) // 8
+    nslots = math.factorial(dim) << dim
+    low = [_build_block_mask(nverts, 1 << t) for t in range(dim)]
+
+    def stage(shift, select, stride, radix, j):
+        on, off = select.to_bytes(nbytes, "little") * stride, bytes(nbytes * stride)
+        period = off * j + on * (radix - j)
+        return shift, int.from_bytes(period * (nslots // (stride * radix)), "little")
+
+    stages, stride = [], nverts
+    for i in range(1, dim):
+        for p in range(i - 1, -1, -1):  # comparator j = i - p
+            stages.append(stage(1 << p, (low[p] << (1 << p)) & low[p + 1], stride, i + 1, i - p))
+        stride *= i + 1
+    stages += [stage(1 << t, low[t], 1 << t, 2, 1) for t in range(dim)]
+    replicate = int.from_bytes((1).to_bytes(nbytes, "little") * nslots, "little")
+    return replicate, nbytes * nslots, "BHIQ"[nbytes.bit_length() - 1], tuple(stages)
 
 
 def _orbit(s: VertexSet) -> list[int]:
     """Masks of all 2^n * n! automorphic images of ``s``, with repeats.
 
     A cube automorphism permutes the coordinates, then complements some
-    of them, so it permutes the mask's bits.  The walk takes the n!
-    permutations in Heap's order (Heap, *Computer J.* 6, 1963) and under
-    each the 2^n complements in Gray-code order, so each image is one
-    transposition or one flip from the last: one delta swap on the mask
-    (Knuth, *TAOCP* 4A §7.1.3), a constant number of mask operations with
-    no per-member work.  The package's one orbit scan: ``canonical_form``
-    takes its least element, and the symmetry-reduced theorem check marks
-    every element as seen so that each class is scanned once.
+    of them, so it permutes the mask's bits.  One multiplication copies
+    the mask into one ``max(2^n, 8)``-bit slot per automorphism of a single
+    int, and a fixed network of delta swaps (Knuth, *TAOCP* 4A §7.1.3)
+    runs on the whole word: the n(n-1)/2 adjacent transpositions of the
+    bubble-sort network, of which any permutation is a subword, then the n
+    complements, each selected only in the slots that apply it.  The slots
+    are read back through a native-order ``memoryview``.  The package's
+    one orbit scan: ``canonical_form`` takes its least element, and the
+    symmetry-reduced theorem check marks each distinct one as seen so that
+    each class is scanned once.
     """
-    swaps, flips = _orbit_steps(s.dim)
-    x = s.mask
-    images = []
-    for shift, select in swaps:
+    replicate, length, slot, stages = _orbit_stages(s.dim)
+    x = s.mask * replicate
+    for shift, select in stages:
         t = (x ^ x >> shift) & select
         x ^= t | t << shift
-        images.append(x)
-        for block, low in flips:
-            x = (x >> block & low) | (x & low) << block
-            images.append(x)
-    return images
+    return memoryview(x.to_bytes(length, sys.byteorder)).cast(slot).tolist()
 
 
 def canonical_form(s: VertexSet) -> VertexSet:

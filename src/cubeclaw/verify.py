@@ -150,7 +150,7 @@ class ExtremalResult(_Record):
 
 
 # ---------------------------------------------------------------------------
-# subset enumeration: increasing-mask order, with O(1) stepping and unranking
+# subset enumeration: increasing-mask order, by byte pairs, and unranking
 # ---------------------------------------------------------------------------
 
 
@@ -176,14 +176,21 @@ def unrank_subset(index: int, size: int, universe: int) -> int:
     return mask
 
 
+_BYTES_OF_WEIGHT = tuple(tuple(b for b in range(256) if b.bit_count() == w) for w in range(9))
+"""The byte values of each popcount, increasing."""
+
+
 def _subsets(size: int, universe: int):
-    """The ``size``-subsets of [0, universe) in increasing-mask order: the
-    least is ``(1 << size) - 1``, and each next one a ``gosper_next`` step;
-    the empty set, the one 0-subset, takes none."""
-    mask = (1 << size) - 1
-    for _ in range(math.comb(universe, size)):
-        yield mask
-        mask = mask and gosper_next(mask)
+    """The ``size``-subsets of [0, universe) in increasing-mask order: under
+    each high part ``hi`` in increasing order, the bytes ``lo`` whose
+    popcount is the rest of ``size``, in increasing order, as ``hi << 8 | lo``;
+    below a byte's universe, only the bytes that fit."""
+    for hi in range(1 << universe >> 8 or 1):
+        rest = size - hi.bit_count()
+        row = _BYTES_OF_WEIGHT[rest] if 0 <= rest <= 8 else ()
+        base = hi << 8
+        for lo in row if universe >= 8 else [lo for lo in row if not lo >> universe]:
+            yield base | lo
 
 
 def _half_subsets(size: int, side: int) -> list[int]:
@@ -226,15 +233,15 @@ def _theorem_class_stream(size):
     for mask in _subsets(size, 16):
         fact = None
         # orbit marking: the first subset of a class scans its orbit once
-        # and marks every image; the least image is the class key
+        # and marks each distinct image; the least image is the class key
         if not seen[mask]:
-            orbit = _orbit(VertexSet(4, mask))
-            canon = VertexSet(4, min(orbit))
+            images = set(_orbit(VertexSet(4, mask)))
+            canon = VertexSet(4, min(images))
             w = find_theorem_witness(canon)
             verdict = w is not None and check_witness(w, canon)
-            for img in orbit:
+            for img in images:
                 seen[img] = 1 + verdict
-            fact = (canon.to_hex(), len(set(orbit)))
+            fact = (canon.to_hex(), len(images))
         yield None if seen[mask] == 2 else VertexSet(4, mask).to_hex(), fact
 
 
@@ -412,10 +419,10 @@ def verify_theorem_exhaustive(
     of the distinct keys sum to ``universe_size``, since the orbits
     partition the subsets, unless an orbit strays outside its class.
     """
-    if not isinstance(n, int) or n != 4:
+    if type(n) is not int or n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
     lo, hi = _THEOREM_SIZES
-    if not (isinstance(size, int) and lo <= size <= hi):
+    if not (type(size) is int and lo <= size <= hi):
         raise ValueError(f"size must be in {lo}..{hi}, got {size}")
     stream = _theorem_class_stream if symmetry_reduced else _theorem_stream
     report, facts = _run_check(f"theorem-exhaustive-n4-size{size}", stream(size))
@@ -441,7 +448,7 @@ def verify_case_claims(case: Union[int, str] = "all") -> list[VerificationReport
     One report per sub-claim.  ``case`` selects a single split -- 1 for
     (8,1), 2 for (7,2), 3 for (6,3), 4 for (5,4) -- or "all".
     """
-    if case != "all" and not (isinstance(case, int) and 1 <= case <= 4):
+    if case != "all" and not (type(case) is int and 1 <= case <= 4):
         raise ValueError(f"case must be 1..4 or 'all', got {case!r}")
     reports: list[VerificationReport] = []
 
@@ -513,11 +520,13 @@ def random_agreement_test(n: int, trials: int, seed: int, workers: int = 1) -> V
     chunks.
     """
     lo, hi = _RANDOM_DIMS
-    if not (isinstance(n, int) and lo <= n <= hi):
+    if not (type(n) is int and lo <= n <= hi):
         raise ValueError(f"random agreement test supports n in {lo}..{hi}, got {n}")
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(workers, int) or workers < 1:
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     asked = min(workers, trials, os.cpu_count() or 1)
     chunk = -(-trials // asked)  # ceil(trials / asked) trials a process
@@ -580,9 +589,9 @@ def extremal_search(n: int, forbidden=("claw", "C8")) -> ExtremalResult:
     """
     k = _parse_forbidden(forbidden)
     lo, hi = _EXTREMAL_C8_DIMS
-    if k == 8 and not (isinstance(n, int) and lo <= n <= hi):
+    if k == 8 and not (type(n) is int and lo <= n <= hi):
         raise ValueError(f"claw+C8 search supports n in {lo}..{hi}, got {n}")
-    if k == 6 and (not isinstance(n, int) or n != 3):
+    if k == 6 and (type(n) is not int or n != 3):
         raise ValueError(f"claw+C6 search supports n = 3 only, got {n}")
     return _max_free(n, k)
 

@@ -290,6 +290,11 @@ def test_orbit_and_canonical_form_work_on_the_mask(monkeypatch):
         assert hypercube.canonical_form(VertexSet(n, 1 << (n - 1))) == VertexSet(n, 1)
 
 
+def test_orbit_has_one_image_per_automorphism():
+    for n in range(1, 7):
+        assert len(hypercube._orbit(VertexSet(n, 1))) == math.factorial(n) << n
+
+
 def test_half_subsets_are_the_embedding():
     for size in range(9):
         for side in (0, 1):

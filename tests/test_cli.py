@@ -728,3 +728,22 @@ def test_cli_import_and_a_short_check_load_no_dataclasses_or_inspect():
     # that needs them, not by the import.
     expected = [0, [[], []], [[0, 0], [1, 1]]]
     assert fresh_interpreter_output("-S", "-c", DATACLASS_MODULES_LOADED) == expected
+
+
+ORBIT_STAGES_BUILT = """
+import contextlib, io, json, sys
+import cubeclaw.cli
+stages = cubeclaw.hypercube._orbit_stages
+built = [stages.cache_info().currsize]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cubeclaw.cli.main(["verify-theorem", "--symmetry-reduced"])
+built.append(stages.cache_info().currsize)
+print(json.dumps([code, "array" in sys.modules, built]))
+"""
+
+
+def test_cli_symmetry_reduced_check_builds_one_orbit_stage_set_and_loads_no_array():
+    # the orbit kernel builds its Q_4 stage selects on the first orbit, from
+    # int and bytes operations alone: importing array would cost about
+    # 0.3 MB of peak RSS
+    assert fresh_interpreter_output("-S", "-c", ORBIT_STAGES_BUILT) == [0, False, [0, 1]]

@@ -52,6 +52,15 @@ def test_unranking_matches_gosper_enumeration():
         unrank_subset(math.comb(8, 3), 3, 8)
 
 
+def test_subsets_are_every_mask_of_their_size_in_increasing_order():
+    for universe in range(17):
+        by_size = [[] for _ in range(universe + 2)]
+        for mask in range(1 << universe):
+            by_size[mask.bit_count()].append(mask)
+        for size, masks in enumerate(by_size):
+            assert list(_subsets(size, universe)) == masks, (size, universe)
+
+
 def test_theorem_exhaustive_trivial_sizes():
     r = verify_theorem_exhaustive(4, 16)
     assert (r.universe_size, r.passed, r.failed) == (1, 1, 0)
@@ -296,11 +305,22 @@ def test_random_agreement_validation():
         (random_agreement_test, (4, 3, 1, 1.5), "workers must be >= 1, got 1.5"),
         (verify_theorem_exhaustive, (4, 9.0), "size must be in 9..16, got 9.0"),
         (verify_case_claims, (2.0,), "case must be 1..4 or 'all', got 2.0"),
+        (random_agreement_test, (4, 2, 1.0), "seed must be an integer, got 1.0"),
+        (extremal_search, (True,), "claw+C8 search supports n in 1..5, got True"),
+        (random_agreement_test, (4, True, 1), "trials must be >= 1"),
+        (random_agreement_test, (4, 2, True), "seed must be an integer, got True"),
+        (random_agreement_test, (4, 2, 1, True), "workers must be >= 1, got True"),
+        (verify_case_claims, (True,), "case must be 1..4 or 'all', got True"),
     ],
-    ids=["extremal-n", "extremal-c6-n", "random-n", "trials", "workers", "size", "case"],
+    ids=[
+        "extremal-n", "extremal-c6-n", "random-n", "trials", "workers", "size", "case", "seed",
+        "bool-extremal-n", "bool-trials", "bool-seed", "bool-workers", "bool-case",
+    ],
 )
 def test_non_integer_arguments_are_rejected_before_any_work(monkeypatch, check, args, message):
-    # 4.0 passes a bare range test, then fails in a shift, a range or a pool
+    # 4.0 passes a bare range test, then fails in a shift, a range or a pool;
+    # True passes an isinstance(int) test and runs as 1.  A seed of 1.0 would
+    # name its report "seed1.0" and draw from "1.0:i", not from seed 1's sets
     def started(*_):
         raise AssertionError("the check started")
 
