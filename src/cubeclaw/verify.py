@@ -414,10 +414,11 @@ def verify_theorem_exhaustive(
     the orbit; the digest then doubles as a cross-check that existence is
     automorphism-invariant.  Classes are found by orbit marking (cf.
     McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): the
-    first subset of a class has its at most 384 images generated once, and
-    each is marked with the least image, the class key.  The orbit sizes
-    of the distinct keys sum to ``universe_size``, since the orbits
-    partition the subsets, unless an orbit strays outside its class.
+    first subset of a class has its at most 384 images generated once; the
+    least image is the class key, searched once for a witness, and each
+    distinct image is marked with 1 + that verdict.  The orbit sizes of the
+    distinct keys sum to ``universe_size``, since the orbits partition the
+    subsets, unless an orbit strays outside its class.
     """
     if type(n) is not int or n != 4:
         raise ValueError(f"exhaustive theorem check supports n=4 only, got {n}")
