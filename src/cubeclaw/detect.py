@@ -135,9 +135,12 @@ def claw_center(mask: int, among: int, dim: int) -> Optional[int]:
 
 def claw_at(s: VertexSet, center: int) -> Claw:
     """The claw at ``center`` whose leaves are its three least-labeled
-    in-set neighbors.  ``center`` must have at least three of them, or
-    ``ValueError`` is raised.  Up to dimension 4 those neighbors key the
-    claw in ``_q4_tables``: two cube vertices share at most two of them."""
+    in-set neighbors.  ``center`` must be a vertex of Q_n with at least
+    three of them, or ``ValueError`` is raised.  Up to dimension 4 those
+    neighbors key the claw in ``_q4_tables``: two cube vertices share at
+    most two of them."""
+    if not 0 <= center < 1 << s.dim:
+        raise ValueError(f"invalid vertex {center!r} for dimension {s.dim}")
     hood = neighbor_masks(s.dim)[center] & s.mask
     if s.dim <= 4:
         claw = _q4_tables()[2].get(hood)

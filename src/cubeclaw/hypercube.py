@@ -39,13 +39,13 @@ CANONICAL_DIM_CAP = 6
 
 
 def check_dim(dim: int) -> int:
-    if not isinstance(dim, int) or dim < 1 or dim > DIM_CAP:
+    if type(dim) is not int or dim < 1 or dim > DIM_CAP:
         raise ValueError(f"dimension must be an integer in [1, {DIM_CAP}], got {dim!r}")
     return dim
 
 
 def check_vertex(v: int, dim: int) -> int:
-    if not isinstance(v, int) or v < 0 or v >> dim:
+    if type(v) is not int or v < 0 or v >> dim:
         raise ValueError(f"invalid vertex {v!r} for dimension {dim}")
     return v
 
@@ -163,9 +163,9 @@ class VertexSet(_Record):
     __slots__ = ("dim", "mask")
 
     def __init__(self, dim: int, mask: int):
-        if not isinstance(dim, int) or dim < 1 or dim > DIM_CAP:
+        if type(dim) is not int or dim < 1 or dim > DIM_CAP:
             check_dim(dim)  # raises; the test is inline to save a call per set
-        if not isinstance(mask, int) or mask < 0 or mask >> (1 << dim):
+        if type(mask) is not int or mask < 0 or mask >> (1 << dim):
             raise ValueError(f"mask {mask!r} has bits outside [0, 2^{dim})")
         _setattr(self, "dim", dim)
         _setattr(self, "mask", mask)
@@ -174,7 +174,7 @@ class VertexSet(_Record):
     def from_members(cls, members, dim: int) -> "VertexSet":
         buf = bytearray(((1 << check_dim(dim)) + 7) // 8)
         for v in members:
-            if not isinstance(v, int) or v < 0 or v >> dim:
+            if type(v) is not int or v < 0 or v >> dim:
                 check_vertex(v, dim)  # raises; the test is inline to save a call per member
             buf[v >> 3] |= 1 << (v & 7)
         return cls(dim, int.from_bytes(buf, "little"))
@@ -303,8 +303,8 @@ def split(s: VertexSet, coord: int) -> tuple[VertexSet, VertexSet]:
     """
     if s.dim < 2:
         raise ValueError("splitting requires dimension >= 2")
-    if not 1 <= coord <= s.dim:
-        raise ValueError(f"coordinate {coord} out of range [1, {s.dim}]")
+    if type(coord) is not int or not 1 <= coord <= s.dim:
+        raise ValueError(f"coordinate {coord!r} out of range [1, {s.dim}]")
     nbits = 1 << s.dim
     block = 1 << (coord - 1)
     d = s.dim - 1
@@ -317,9 +317,9 @@ def split(s: VertexSet, coord: int) -> tuple[VertexSet, VertexSet]:
 def embed(s: VertexSet, coord: int, bit: int) -> VertexSet:
     """Inject a Q_{n-1} subset into Q_n, fixing one coordinate to ``bit``."""
     dim = check_dim(s.dim + 1)
-    if not 1 <= coord <= dim:
-        raise ValueError(f"coordinate {coord} out of range [1, {dim}]")
-    if bit not in (0, 1):
+    if type(coord) is not int or not 1 <= coord <= dim:
+        raise ValueError(f"coordinate {coord!r} out of range [1, {dim}]")
+    if type(bit) is not int or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     block = 1 << (coord - 1)
     return VertexSet(dim, _spread_blocks(s.mask, 1 << dim, block) << (bit * block))

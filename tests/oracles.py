@@ -6,7 +6,9 @@ itertools.combinations, connectivity via BFS over dict adjacency.  These
 stay the ground truth the fast implementations are checked against.
 ``parse_lines`` is the set parser read one line at a time, the reference
 for the parser's whole-piece path; it restates the binary-vertex and
-hex-mask rules rather than calling the library's readers.
+hex-mask rules rather than calling the library's readers.  The test
+modules share their inputs from here too: the even-weight half, random
+sets and the witness-line reader, so that no test module imports another.
 """
 
 from __future__ import annotations
@@ -14,8 +16,33 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from cubeclaw.detect import Claw, InducedCycle
 from cubeclaw.errors import SetParseError
-from cubeclaw.hypercube import VertexSet, hex_width
+from cubeclaw.hypercube import VertexSet, hex_width, vertex_from_text
+
+
+def even_weight(dim: int) -> list[int]:
+    """The labels of even weight: a half of Q_dim with no induced edge."""
+    return [v for v in range(1 << dim) if bin(v).count("1") % 2 == 0]
+
+
+def random_set(rng, n: int, density: float = 0.5) -> VertexSet:
+    """A subset of Q_n holding each vertex with probability ``density``."""
+    mask = 0
+    for v in range(1 << n):
+        if rng.random() < density:
+            mask |= 1 << v
+    return VertexSet(n, mask)
+
+
+def parse_witness_line(line: str, n: int):
+    """The claw or cycle of a printed witness line."""
+    kind, *tokens = line.split()
+    vertices = [vertex_from_text(tok, n) for tok in tokens]
+    if kind == "claw":
+        return Claw(vertices[0], tuple(vertices[1:]))
+    assert kind == "cycle"
+    return InducedCycle(tuple(vertices))
 
 
 def bits(v: int, dim: int) -> str:

@@ -14,20 +14,11 @@ import pytest
 import cubeclaw
 from cubeclaw import cli, verify
 from cubeclaw.cli import build_parser, main, parse_set, run
-from cubeclaw.detect import Claw, InducedCycle, check_witness
+from cubeclaw.detect import Claw, check_witness
 from cubeclaw.errors import SetParseError
 from cubeclaw.hypercube import VertexSet, hex_width, vertex_from_text, vertex_to_text
 from cubeclaw.witness import ExtractionTrace
-from oracles import parse_lines
-
-
-def parse_witness_line(line, n):
-    kind, *tokens = line.split()
-    vertices = [vertex_from_text(tok, n) for tok in tokens]
-    if kind == "claw":
-        return Claw(vertices[0], tuple(vertices[1:]))
-    assert kind == "cycle"
-    return InducedCycle(tuple(vertices))
+from oracles import even_weight, parse_lines, parse_witness_line
 
 
 def test_parse_set_binary_lines():
@@ -297,12 +288,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_verify_theorem(capsys):
-    code, out, _ = run_cli(capsys, "verify-theorem", "--n", "4", "--size", "15")
-    assert code == 0
-    assert "theorem-exhaustive-n4-size15" in out
-
-
 def test_cli_verify_theorem_json(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--size", "9", "--format", "json")
     assert code == 0
@@ -331,12 +316,6 @@ def test_cli_verify_proposition(capsys):
     assert doc["reports"][0]["passed"] == 28
 
 
-def test_cli_verify_cases(capsys):
-    code, out, _ = run_cli(capsys, "verify-cases", "--case", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["reports"][0]["universe_size"] == 8
-
-
 def test_cli_witness_structured_case1(capsys):
     code, out, _ = run_cli(
         capsys, "witness", "--n", "4", "--hex", "5557", "--method", "structured"
@@ -349,9 +328,7 @@ def test_cli_witness_structured_case1(capsys):
 
 
 def test_cli_witness_inductive_prints_trace(capsys):
-    evens = VertexSet.from_members(
-        [v for v in range(32) if bin(v).count("1") % 2 == 0] + [1], 5
-    )
+    evens = VertexSet.from_members(even_weight(5) + [1], 5)
     code, out, _ = run_cli(capsys, "witness", "--n", "5", "--hex", evens.to_hex())
     assert code == 0
     lines = out.strip().splitlines()
@@ -389,9 +366,7 @@ def test_cli_witness_insufficient_cardinality(capsys):
 
 
 def test_cli_witness_bruteforce_absence(capsys):
-    even = VertexSet.from_members(
-        [v for v in range(16) if bin(v).count("1") % 2 == 0], 4
-    )
+    even = VertexSet.from_members(even_weight(4), 4)
     code, out, _ = run_cli(
         capsys, "witness", "--n", "4", "--hex", even.to_hex(), "--method", "bruteforce"
     )

@@ -25,23 +25,15 @@ from oracles import (
     claw_exists,
     classify_five,
     degree_map,
+    even_weight,
     induced_cycle_exists,
     naive_adjacent,
     path_order_of_p5,
+    random_set,
 )
 
 C6_SET = VertexSet.from_members([1, 2, 3, 4, 5, 6], 3)
-EVEN_WEIGHT_Q4 = VertexSet.from_members(
-    [v for v in range(16) if bin(v).count("1") % 2 == 0], 4
-)
-
-
-def random_set(rng, n, density=0.5):
-    mask = 0
-    for v in range(1 << n):
-        if rng.random() < density:
-            mask |= 1 << v
-    return VertexSet(n, mask)
+EVEN_WEIGHT_Q4 = VertexSet.from_members(even_weight(4), 4)
 
 
 def test_induced_degree_examples():
@@ -75,7 +67,7 @@ def test_find_claw_returned_witness_is_valid():
 
 def test_find_claw_agrees_with_naive_four_subset_search():
     rng = random.Random(23)
-    for _ in range(120):
+    for _ in range(500):
         n = rng.choice((3, 4, 5))
         s = random_set(rng, n)
         assert (find_claw(s) is not None) == claw_exists(s.members(), n)
@@ -168,6 +160,10 @@ def test_q4_claw_table_holds_the_80_claws_and_claw_at_rejects_smaller_hoods():
 def test_claw_at_rejects_a_center_with_two_in_set_neighbors():
     with pytest.raises(ValueError):
         claw_at(C6_SET, 1)  # 1 has in-set neighbors 3 and 5 only
+    # centres outside Q_n, on the table path (n = 4) as past it (n = 5)
+    for n, center in ((4, -1), (4, 16), (4, -17), (5, -1)):
+        with pytest.raises(ValueError, match="invalid vertex"):
+            claw_at(VertexSet(n, (1 << (1 << n)) - 1), center)
 
 
 def test_find_induced_cycle_c6():
@@ -200,24 +196,29 @@ def test_find_induced_cycle_rejects_bad_lengths():
 def test_cycle_normalization_and_parity():
     rng = random.Random(37)
     seen = 0
-    for _ in range(200):
+    for trial in range(500):
         n = rng.choice((3, 4, 5))
-        s = random_set(rng, n)
-        k = rng.choice((4, 6, 8))
-        if k > len(s):
-            continue
-        cycle = find_induced_cycle(s, k)
-        if cycle is None:
-            continue
-        seen += 1
-        vs = cycle.vertices
-        assert len(vs) == k and len(vs) % 2 == 0
-        assert vs[0] == min(vs)  # starts at the least label
-        assert vs[1] < vs[-1]  # lexicographically smaller direction
-        for i, v in enumerate(vs):  # weight parity alternates around the cycle
-            assert bin(v).count("1") % 2 != bin(vs[(i + 1) % k]).count("1") % 2
-        assert check_witness(cycle, s)
-    assert seen > 20
+        # one random length per half-full set, then every length per denser set
+        if trial < 200:
+            s = random_set(rng, n)
+            lengths = (rng.choice((4, 6, 8)),)
+        else:
+            s, lengths = random_set(rng, n, 0.7), (4, 6, 8)
+        for k in lengths:
+            if k > len(s):
+                continue
+            cycle = find_induced_cycle(s, k)
+            if cycle is None:
+                continue
+            seen += 1
+            vs = cycle.vertices
+            assert len(vs) == k and len(vs) % 2 == 0
+            assert vs[0] == min(vs)  # starts at the least label
+            assert vs[1] < vs[-1]  # lexicographically smaller direction
+            for i, v in enumerate(vs):  # weight parity alternates around the cycle
+                assert bin(v).count("1") % 2 != bin(vs[(i + 1) % k]).count("1") % 2
+            assert check_witness(cycle, s)
+    assert seen >= 50
 
 
 def test_find_induced_cycle_agrees_with_oracle_on_small_sets():
@@ -324,10 +325,8 @@ def test_classify_five_set_matches_oracle_on_q5_sample():
 def test_classify_five_set_examples():
     s = VertexSet.from_members([0, 4, 6, 2, 3], 3)
     assert classify_five_set(s).kind is FiveSetKind.HAS_DEGREE3_VERTEX
-    evens = [v for v in range(16) if bin(v).count("1") % 2 == 0][:5]
-    assert classify_five_set(VertexSet.from_members(evens, 4)).kind is (
-        FiveSetKind.HAS_ISOLATED_VERTEX
-    )
+    evens = VertexSet.from_members(even_weight(4)[:5], 4)
+    assert classify_five_set(evens).kind is FiveSetKind.HAS_ISOLATED_VERTEX
     disconnected = VertexSet.from_members([0, 1, 3, 12, 13], 4)
     assert classify_five_set(disconnected).kind is FiveSetKind.DISCONNECTED
 

@@ -126,6 +126,13 @@ def test_vertexset_validation():
         VertexSet(25, 0)
     with pytest.raises(ValueError):
         VertexSet.from_members([8], 3)
+    # only an int is a dimension, mask or vertex: not a bool, not a float
+    for dim, mask in ((True, 1), (3.0, 1), (3, True), (3, 1.0)):
+        with pytest.raises(ValueError):
+            VertexSet(dim, mask)
+    for members, dim in (([True], 3), ([1.0], 3), ([1], True)):
+        with pytest.raises(ValueError):
+            VertexSet.from_members(members, dim)
 
 
 def test_hex_text_forms():
@@ -165,6 +172,9 @@ def test_split_empty_and_errors():
         split(VertexSet(4, 0), 5)
     with pytest.raises(ValueError):
         split(VertexSet(1, 0), 1)
+    for coord in (1.0, True):
+        with pytest.raises(ValueError, match="coordinate"):
+            split(VertexSet(4, 0), coord)
 
 
 def test_embed_examples():
@@ -176,6 +186,9 @@ def test_embed_examples():
         embed(VertexSet(3, 0), 5, 0)
     with pytest.raises(ValueError):
         embed(VertexSet(3, 0), 1, 2)
+    for coord, bit in ((1.0, 0), (True, 0), (1, 1.0), (1, True)):
+        with pytest.raises(ValueError):
+            embed(VertexSet(3, 0), coord, bit)
 
 
 def test_embed_inverts_split():
@@ -187,7 +200,7 @@ def test_embed_inverts_split():
 
 def test_split_embed_round_trip_random():
     rng = random.Random(2024)
-    for _ in range(200):
+    for _ in range(1000):
         n = rng.choice((2, 3, 4, 5, 6))
         mask = rng.randrange(1 << (1 << n))
         s = VertexSet(n, mask)
@@ -249,8 +262,8 @@ def test_canonical_form_examples():
 
 def test_canonical_form_idempotent_and_invariant():
     rng = random.Random(31)
-    for _ in range(60):
-        n = rng.choice((2, 3, 4))
+    for _ in range(500):
+        n = rng.choice((2, 3, 4, 5))
         s = VertexSet(n, rng.randrange(1 << (1 << n)))
         canon = canonical_form(s)
         assert canonical_form(canon) == canon

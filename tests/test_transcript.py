@@ -24,7 +24,7 @@ import pytest
 
 from cubeclaw import cli
 from cubeclaw.detect import check_witness
-from test_cli import parse_witness_line
+from oracles import parse_witness_line
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.txt"
 PROMPT = "$ cubeclaw "

@@ -31,8 +31,8 @@ from cubeclaw.verify import (
     verify_proposition_exhaustive,
     verify_theorem_exhaustive,
 )
-from cubeclaw.witness import resolve_five_four
-from oracles import binomial, claw_exists, induces_cycle, shuffle_prefix
+from cubeclaw.witness import find_witness_inductive, resolve_five_four
+from oracles import binomial, claw_exists, even_weight, induces_cycle, shuffle_prefix
 
 
 def test_unranking_matches_gosper_enumeration():
@@ -42,10 +42,6 @@ def test_unranking_matches_gosper_enumeration():
         for index in range(total):
             assert unrank_subset(index, size, universe) == gosper[-1]
             gosper.append(gosper_next(gosper[-1]))
-        assert list(_subsets(size, universe)) == gosper[:total]
-    for size in range(9):  # the empty and the full set too
-        masks = sorted(sum(1 << v for v in c) for c in combinations(range(8), size))
-        assert list(_subsets(size, 8)) == masks
     assert unrank_subset(0, 9, 16) == (1 << 9) - 1
     assert unrank_subset(math.comb(16, 9) - 1, 9, 16) == 0b1111111110000000
     with pytest.raises(ValueError):
@@ -334,12 +330,10 @@ def test_non_integer_arguments_are_rejected_before_any_work(monkeypatch, check, 
 
 def test_monotonicity_harness():
     rng = random.Random(606)
-    for _ in range(200):
+    for _ in range(1000):
         labels = list(range(16))
         rng.shuffle(labels)
         s = VertexSet.from_members(labels[:9], 4)
-        from cubeclaw.witness import find_witness_inductive
-
         w, _ = find_witness_inductive(s)
         extra = rng.sample(labels[9:], rng.randint(0, 7))
         superset = VertexSet.from_members([*s, *extra], 4)
@@ -350,10 +344,8 @@ def test_runner_failure_reporting():
     # synthetic check: indices divisible by 3 fail; exercises the
     # counterexample cap and first-failure ordering, which the real
     # checks never reach
-    import cubeclaw.verify as verify_mod
-
     flaky = ((None if index % 3 else f"{index:04X}", None) for index in range(100))
-    report, facts = verify_mod._run_check("flaky-check", flaky)
+    report, facts = verify._run_check("flaky-check", flaky)
     assert facts == []
     assert report.universe_size == 100
     assert report.passed + report.failed == 100
@@ -367,7 +359,5 @@ def test_exhaustive_extremal_consistency():
     assert verify_theorem_exhaustive(4, 9).failed == 0
     result = extremal_search(4)
     assert result.max_size == 8
-    even = VertexSet.from_members(
-        [v for v in range(16) if bin(v).count("1") % 2 == 0], 4
-    )
+    even = VertexSet.from_members(even_weight(4), 4)
     assert find_claw(even) is None and find_induced_cycle(even, 8) is None
